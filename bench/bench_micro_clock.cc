@@ -16,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -172,6 +173,40 @@ BM_MonotoneCopy(benchmark::State &state)
     setAllocCounter(state, allocs);
 }
 
+/**
+ * Monotone copy into a stale lock clock: half of the k entries have
+ * progressed since the lock last saw its source, as for SHB's
+ * last-write and lock clocks after a long absence. TC's bounded walk
+ * switches to its block copy here; VC pays its usual flat copy. A
+ * deepCopy of the stale snapshot restores the lock before each copy;
+ * manual timing reports the copy alone (PauseTiming's per-iteration
+ * cost would swamp the small-k copies).
+ */
+template <typename ClockT>
+void
+BM_StaleMonotoneCopy(benchmark::State &state)
+{
+    const Tid k = static_cast<Tid>(state.range(0));
+    // Same construction, so stale ⊑ fresh: fresh also learned new
+    // progress on k/2 threads.
+    const ClockT stale = makeClockPair<ClockT>(k, 0).second;
+    const ClockT fresh = makeClockPair<ClockT>(k, k / 2).second;
+    ClockT lock;
+    lock.deepCopy(stale);
+    lock.monotoneCopy(fresh); // warm the scratch / copy path
+    const std::uint64_t allocs = bench::heapAllocCount();
+    for (auto _ : state) {
+        lock.deepCopy(stale);
+        const auto start = std::chrono::steady_clock::now();
+        lock.monotoneCopy(fresh);
+        const auto stop = std::chrono::steady_clock::now();
+        state.SetIterationTime(
+            std::chrono::duration<double>(stop - start).count());
+    }
+    benchmark::DoNotOptimize(lock.get(1));
+    setAllocCounter(state, allocs);
+}
+
 #define TC_BENCH_RANGE RangeMultiplier(4)->Range(8, 2048)
 
 BENCHMARK_TEMPLATE(BM_Get, VectorClock)->TC_BENCH_RANGE;
@@ -184,6 +219,10 @@ BENCHMARK_TEMPLATE(BM_SyncRoundTrip, VectorClock)->TC_BENCH_RANGE;
 BENCHMARK_TEMPLATE(BM_SyncRoundTrip, TreeClock)->TC_BENCH_RANGE;
 BENCHMARK_TEMPLATE(BM_MonotoneCopy, VectorClock)->TC_BENCH_RANGE;
 BENCHMARK_TEMPLATE(BM_MonotoneCopy, TreeClock)->TC_BENCH_RANGE;
+BENCHMARK_TEMPLATE(BM_StaleMonotoneCopy, VectorClock)
+    ->TC_BENCH_RANGE->UseManualTime();
+BENCHMARK_TEMPLATE(BM_StaleMonotoneCopy, TreeClock)
+    ->TC_BENCH_RANGE->UseManualTime();
 
 /** Mirrors every finished run into the shared JsonReporter while
  * keeping the familiar console table. */

@@ -9,7 +9,8 @@ harness output or a BENCH_baseline.json-style merged document). For
 every benchmark present in both current and the baseline's
 bench_micro_clock section, the current heap_allocs count must not
 exceed the baseline's. The steady-state join/copy benchmarks
-(BM_JoinVacuous / BM_SyncRoundTrip / BM_MonotoneCopy) are
+(BM_JoinVacuous / BM_SyncRoundTrip / BM_MonotoneCopy /
+BM_StaleMonotoneCopy) are
 additionally required to stay at exactly 0 allocations — a warmed
 clock hot path must never touch the heap, whatever the baseline
 says.
@@ -25,6 +26,7 @@ STEADY_STATE_PREFIXES = (
     "BM_JoinVacuous",
     "BM_SyncRoundTrip",
     "BM_MonotoneCopy",
+    "BM_StaleMonotoneCopy",
 )
 
 

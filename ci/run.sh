@@ -23,6 +23,12 @@
 #           every recovery path runs sanitized. The suites also run
 #           at depth 1 inside jobs 1–2; this job buys the deep
 #           randomized sweeps without slowing the whole matrix.
+#   Job 1b — memory cap: the snapshot, snapshot-fuzz and crash
+#           recovery suites rerun from the Release build under
+#           `ulimit -v 4000000`, so host overcommit cannot hide an
+#           allocation sized by an unchecked header field. Not
+#           sanitized: ASan reserves more address space than the
+#           cap allows.
 #   Job 0 — docs gate: internal links in docs/ + README resolve,
 #           and the flags the docs spell exist in the CLIs (and
 #           every user-facing flag is documented). Runs first: it
@@ -57,6 +63,14 @@ run_job() {
 
 run_job "Release -Werror" build-ci-werror \
     -DCMAKE_BUILD_TYPE=Release -DTC_WERROR=ON
+# Job 1b — memory-capped leg (see header). The subshell scopes the
+# limit to these three suites and the CLIs they spawn.
+echo "=== memory-capped (ulimit -v 4000000, Release) ==="
+(
+    ulimit -v 4000000
+    ctest --test-dir build-ci-werror --output-on-failure -j "${JOBS}" \
+        -R 'test_(snapshot|snapshot_fuzz|crash_recovery)$'
+)
 run_job "ASan/UBSan" build-ci-asan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTC_WERROR=ON \
     -DTC_SANITIZE=ON
@@ -105,7 +119,7 @@ echo "=== bench smoke (alloc + throughput regressions) ==="
     --reps=2 --json=/tmp/tc-bench-streaming.json > /dev/null
 if [[ -x build-ci-werror/bench_micro_clock ]]; then
     ./build-ci-werror/bench_micro_clock \
-        --benchmark_filter='BM_JoinVacuous|BM_SyncRoundTrip|BM_MonotoneCopy' \
+        --benchmark_filter='BM_JoinVacuous|BM_SyncRoundTrip|BM_MonotoneCopy|BM_StaleMonotoneCopy' \
         --json /tmp/tc-bench-micro.json > /dev/null
     python3 ci/merge_bench_json.py /tmp/tc-bench-ci.json \
         bench_micro_clock=/tmp/tc-bench-micro.json \

@@ -99,10 +99,10 @@ TreeClock::detachFromParent(Tid t)
         prevSib_[static_cast<std::size_t>(next)] = prev;
 }
 
-void
+bool
 TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
                          bool is_copy, Tid z_tid,
-                         std::uint64_t &examined)
+                         std::uint64_t &examined, std::size_t limit)
 {
     // Iterative rendering of getUpdatedNodesJoin/-Copy
     // (Algorithm 2, lines 36-40 and 62-69), walking the operand's
@@ -140,6 +140,7 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
     Tid parent = root;
     Tid cur = ofirst[static_cast<std::size_t>(root)];
     std::uint64_t scans = 0;
+    std::size_t moved = 0;
     while (true) {
         if (cur == kNoTid) {
             // Level exhausted: resume the parent's sibling scan.
@@ -158,6 +159,10 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
             // only transplants progressed nodes on joins).
             if (progressed || is_copy)
                 enter(cur);
+            if (progressed && ++moved >= limit) {
+                examined += scans;
+                return true;
+            }
             const Tid first = ofirst[c];
             if (first != kNoTid) {
                 parent = cur;
@@ -186,6 +191,7 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
         cur = onext[c];
     }
     examined += scans;
+    return false;
 }
 
 std::uint64_t
@@ -285,7 +291,7 @@ TreeClock::join(const TreeClock &other)
     S.clear();
 
     std::uint64_t examined = 0;
-    gatherUpdated(other, S, false, kNoTid, examined);
+    gatherUpdated(other, S, false, kNoTid, examined, kNoLimit);
     const std::uint64_t transplanted = S.size();
     const std::uint64_t changed = attachNodes(other, S);
 
@@ -346,8 +352,20 @@ TreeClock::monotoneCopy(const TreeClock &other)
     std::vector<Tid> &S = scratch();
     S.clear();
 
+    // Bounded walk (see the file comment); the ablation policies
+    // keep the pure Algorithm 2 walk.
+    const std::size_t limit =
+        policy_ == JoinPolicy::Full ? (other.clk_.size() + 7) / 8
+                                    : kNoLimit;
     std::uint64_t examined = 0;
-    gatherUpdated(other, S, true, root_, examined);
+    if (gatherUpdated(other, S, true, root_, examined, limit)) {
+        // deepCopy overwrites every array, so the nodes the walk
+        // already unlinked need no repair.
+        if (counters_)
+            counters_->dsWork += examined;
+        deepCopy(other);
+        return;
+    }
 
     if (root_ != other.root_ &&
         std::find(S.begin(), S.end(), root_) == S.end()) {

@@ -21,6 +21,15 @@
  * that actually change (Theorem 1: total accessed entries over a run
  * are at most 3·VTWork).
  *
+ * MonotoneCopy bounds its walk. A stale copy target (SHB's lock and
+ * last-write clocks) can need nearly the whole tree relinked, one
+ * node at a time, each node a handful of random accesses over the
+ * link arrays. So once ⌈k/8⌉ progressed nodes have been found, the
+ * walk stops and the copy finishes as one flat block copy of all k
+ * entries. At that point at least ⌈k/8⌉ entries are known to change,
+ * so the k touches cost at most 8x that copy's VTWork and the work
+ * stays O(VTWork). The ablation policies never take the block copy.
+ *
  * Implementation follows the paper's §6 notes: "the tree clock data
  * structure is represented as two arrays of length k, the first one
  * encoding the shape of the tree and the second one encoding the
@@ -229,7 +238,11 @@ class TreeClock
 
     /**
      * MonotoneCopy of Algorithm 2: this ← other given this ⊑ other,
-     * sublinear.
+     * sublinear. Under JoinPolicy::Full the walk stops once ⌈k/8⌉
+     * progressed nodes are found (k = other.size()) and finishes
+     * with deepCopy(other); the dsWork charged is then the nodes
+     * examined plus the entries the block copy writes (see the
+     * file comment).
      */
     void monotoneCopy(const TreeClock &other);
 
@@ -328,15 +341,20 @@ class TreeClock
     /** Unlink @p t from its parent's child list. */
     void detachFromParent(Tid t);
 
+    /** gatherUpdated limit that never stops the walk. */
+    static constexpr std::size_t kNoLimit = SIZE_MAX;
+
     /**
      * getUpdatedNodesJoin / getUpdatedNodesCopy: collect into @p S
      * (pre-order) the operand's nodes to transplant, unlinking them
      * from this tree on the way. @p z_tid is the old root for
-     * copies (kNoTid for joins).
+     * copies (kNoTid for joins). Returns true when the walk stopped
+     * early because @p limit progressed non-root nodes had entered
+     * S; the tree is then half-unlinked and must be overwritten.
      */
-    void gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
+    bool gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
                        bool is_copy, Tid z_tid,
-                       std::uint64_t &examined);
+                       std::uint64_t &examined, std::size_t limit);
     /** Transplant S (popped in reverse) mirroring other's shape;
      * returns the number of clk entries whose value changed. */
     std::uint64_t attachNodes(const TreeClock &other,

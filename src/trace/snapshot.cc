@@ -181,7 +181,11 @@ parseSnapshot(const std::string &path,
     ByteSource body(bytes.data() + kSnapHeaderBytes,
                     bytes.size() - kSnapHeaderBytes);
     std::vector<Section> parsed;
-    parsed.reserve(section_count);
+    // section_count comes from the unchecksummed header: bound the
+    // reservation by the bytes that could back that many 16-byte
+    // section headers, so a flipped bit cannot request gigabytes.
+    parsed.reserve(std::min<std::size_t>(section_count,
+                                         body.remaining() / 16));
     for (std::uint32_t s = 0; s < section_count; s++) {
         std::uint32_t tag = 0, crc = 0;
         std::uint64_t len = 0;

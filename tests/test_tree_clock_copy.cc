@@ -3,7 +3,9 @@
  * MonotoneCopy / CopyCheckMonotone / deepCopy tests, including a
  * full hand-derived replay of the Appendix B example trace
  * (Figure 11): 16 events over 5 threads and 3 locks, asserting the
- * exact tree shapes the algorithm must produce after each step.
+ * exact tree shapes the algorithm must produce after each step,
+ * and the bounded copy walk that switches to a block copy once
+ * ⌈k/8⌉ nodes have progressed.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +13,8 @@
 #include <vector>
 
 #include "core/tree_clock.hh"
+#include "core/vector_clock.hh"
+#include "support/rng.hh"
 
 namespace tc {
 namespace {
@@ -268,6 +272,221 @@ TEST(TreeClockCopy, RootSwapBetweenEqualViews)
     EXPECT_EQ(l0.parentOf(1), 0);
     sim.checkAll();
     EXPECT_EQ(sim.work.fallbackCopies, 0u);
+}
+
+/**
+ * A lock clock left stale by its owner: t0 releases into `lock`,
+ * then learns fresh progress from threads 1..fresh, each hung
+ * directly under t0's root at a fresh tick, and ticks once more. The copy walk of
+ * lock ← t0 therefore scans one progressed child per step, so it
+ * examines exactly min(fresh, ⌈k/8⌉) children before it either hits
+ * the limit or runs out of progressed nodes.
+ */
+struct StaleLock
+{
+    static constexpr Tid kThreads = 32; // walk limit ⌈32/8⌉ = 4
+    static constexpr std::uint64_t kLimit = (kThreads + 7) / 8;
+
+    WorkCounters work;
+    TreeClock owner{0, static_cast<std::size_t>(kThreads)};
+    TreeClock lock;
+    std::vector<TreeClock> others;
+
+    StaleLock(Tid fresh, TreeClock::JoinPolicy policy)
+    {
+        owner.setCounters(&work);
+        lock.setCounters(&work);
+        lock.setPolicy(policy);
+        owner.increment(1);
+        lock.monotoneCopy(owner); // first population
+        others.reserve(static_cast<std::size_t>(fresh));
+        for (Tid t = 1; t <= fresh; t++) {
+            others.emplace_back(t, static_cast<std::size_t>(kThreads));
+            others.back().increment(1);
+            owner.increment(1); // a join is a fresh event of t0
+            owner.join(others.back());
+        }
+        owner.increment(1);
+    }
+
+    /** lock ← owner; returns the work the copy alone added. */
+    WorkCounters
+    copy()
+    {
+        const WorkCounters before = work;
+        lock.monotoneCopy(owner);
+        WorkCounters delta;
+        delta.vtWork = work.vtWork - before.vtWork;
+        delta.dsWork = work.dsWork - before.dsWork;
+        delta.copies = work.copies - before.copies;
+        delta.fallbackCopies =
+            work.fallbackCopies - before.fallbackCopies;
+        return delta;
+    }
+};
+
+TEST(TreeClockCopy, StaleCopyPastLimitTakesBlockCopy)
+{
+    // Half of the k entries progress: well past ⌈k/8⌉.
+    StaleLock s(StaleLock::kThreads / 2, TreeClock::JoinPolicy::Full);
+    const WorkCounters d = s.copy();
+
+    EXPECT_EQ(s.lock.toVector(StaleLock::kThreads),
+              s.owner.toVector(StaleLock::kThreads));
+    EXPECT_EQ(s.lock.checkInvariants(), "");
+    // The block copy clones the operand's tree verbatim.
+    EXPECT_EQ(s.lock.toString(), s.owner.toString());
+    // Walk up to the limit, then one flat pass over all k entries.
+    EXPECT_EQ(d.dsWork, StaleLock::kLimit + StaleLock::kThreads);
+    EXPECT_EQ(d.copies, 1u);
+    // Changed entries: t0's own time and the k/2 fresh threads.
+    EXPECT_EQ(d.vtWork, 1u + StaleLock::kThreads / 2);
+    EXPECT_EQ(d.fallbackCopies, 0u);
+}
+
+TEST(TreeClockCopy, StaleCopyBelowLimitStaysOnNodePath)
+{
+    const Tid fresh = static_cast<Tid>(StaleLock::kLimit) - 1;
+    StaleLock s(fresh, TreeClock::JoinPolicy::Full);
+    const WorkCounters d = s.copy();
+
+    EXPECT_EQ(s.lock.toVector(StaleLock::kThreads),
+              s.owner.toVector(StaleLock::kThreads));
+    EXPECT_EQ(s.lock.checkInvariants(), "");
+    // `fresh` children examined + root and `fresh` nodes moved.
+    EXPECT_EQ(d.dsWork, 2u * static_cast<std::uint64_t>(fresh) + 1u);
+    EXPECT_LT(d.dsWork, static_cast<std::uint64_t>(StaleLock::kThreads));
+    EXPECT_EQ(d.copies, 1u);
+    EXPECT_EQ(d.vtWork, 1u + static_cast<std::uint64_t>(fresh));
+}
+
+TEST(TreeClockCopy, AblationPoliciesNeverBlockCopy)
+{
+    // Twice the limit progresses, which under Full takes the block
+    // copy; the ablations must keep Algorithm 2's node-by-node walk.
+    const Tid fresh = static_cast<Tid>(2 * StaleLock::kLimit);
+    for (const auto policy : {TreeClock::JoinPolicy::NoIndirect,
+                              TreeClock::JoinPolicy::NoPruning}) {
+        StaleLock s(fresh, policy);
+        const WorkCounters d = s.copy();
+        EXPECT_EQ(s.lock.toVector(StaleLock::kThreads),
+                  s.owner.toVector(StaleLock::kThreads));
+        EXPECT_EQ(s.lock.checkInvariants(), "");
+        EXPECT_EQ(d.dsWork,
+                  2u * static_cast<std::uint64_t>(fresh) + 1u);
+        EXPECT_EQ(d.copies, 1u);
+    }
+}
+
+/** HB-style clock operations, replayable on either clock type. */
+template <typename ClockT>
+struct Replay
+{
+    std::vector<ClockT> threads;
+    std::vector<ClockT> locks;
+    WorkCounters work;
+
+    Replay(Tid num_threads, LockId num_locks)
+    {
+        for (Tid t = 0; t < num_threads; t++) {
+            threads.emplace_back(
+                t, static_cast<std::size_t>(num_threads));
+            threads.back().setCounters(&work);
+        }
+        locks.resize(static_cast<std::size_t>(num_locks));
+        for (auto &l : locks)
+            l.setCounters(&work);
+    }
+
+    ClockT &th(Tid t) { return threads[static_cast<std::size_t>(t)]; }
+    ClockT &lk(LockId l) { return locks[static_cast<std::size_t>(l)]; }
+
+    void step(Tid t) { th(t).increment(1); }
+    /** Fork/join-style edge: t learns u's current view as a new
+     * event of t (a clock must tick before it gains knowledge, or
+     * an earlier reader of its time would be wrongly covered). */
+    void
+    learn(Tid t, Tid u)
+    {
+        step(t);
+        th(t).join(th(u));
+    }
+    void acquire(Tid t, LockId l) { th(t).join(lk(l)); }
+    void release(Tid t, LockId l) { lk(l).monotoneCopy(th(t)); }
+
+    void
+    sync(Tid t, LockId l)
+    {
+        step(t);
+        acquire(t, l);
+        step(t);
+        release(t, l);
+    }
+};
+
+TEST(TreeClockCopy, OperationsAfterBlockCopyMatchVectorClockReplay)
+{
+    constexpr Tid kThreads = 16; // walk limit ⌈16/8⌉ = 2
+    constexpr LockId kLocks = 3;
+    Replay<TreeClock> tc(kThreads, kLocks);
+    Replay<VectorClock> vc(kThreads, kLocks);
+    const auto both = [&](auto &&op) {
+        op(tc);
+        op(vc);
+    };
+    const auto expectSame = [&](int step) {
+        for (Tid t = 0; t < kThreads; t++) {
+            ASSERT_EQ(tc.th(t).toVector(kThreads),
+                      vc.th(t).toVector(kThreads))
+                << "thread " << t << " after step " << step;
+            ASSERT_EQ(tc.th(t).checkInvariants(), "");
+        }
+        for (LockId l = 0; l < kLocks; l++) {
+            ASSERT_EQ(tc.lk(l).toVector(kThreads),
+                      vc.lk(l).toVector(kThreads))
+                << "lock " << l << " after step " << step;
+            ASSERT_EQ(tc.lk(l).checkInvariants(), "");
+        }
+    };
+
+    // Stale lock 0: t0 releases it, then learns from t1..t8.
+    both([](auto &r) { r.sync(0, 0); });
+    for (Tid u = 1; u <= 8; u++) {
+        both([u](auto &r) {
+            r.step(u);
+            r.learn(0, u);
+        });
+    }
+    both([](auto &r) {
+        r.step(0);
+        r.acquire(0, 0);
+    });
+    const std::uint64_t ds_before = tc.work.dsWork;
+    both([](auto &r) { r.release(0, 0); });
+    // Proof the block copy ran: limit examined + k entries written.
+    ASSERT_EQ(tc.work.dsWork - ds_before, 2u + kThreads);
+    expectSame(0);
+
+    // Random joins and copies on top, including further block
+    // copies whenever a lock falls far enough behind.
+    Rng rng(42);
+    for (int i = 1; i <= 3000; i++) {
+        const Tid t = static_cast<Tid>(rng.below(kThreads));
+        if (rng.chance(0.5)) {
+            const auto l = static_cast<LockId>(rng.below(kLocks));
+            both([t, l](auto &r) { r.sync(t, l); });
+        } else {
+            const Tid u = static_cast<Tid>(rng.below(kThreads));
+            both([t, u](auto &r) {
+                r.step(u);
+                if (t != u)
+                    r.learn(t, u);
+            });
+        }
+        expectSame(i);
+    }
+    EXPECT_EQ(tc.work.vtWork, vc.work.vtWork);
+    EXPECT_EQ(tc.work.fallbackCopies, 0u);
 }
 
 } // namespace
