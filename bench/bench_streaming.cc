@@ -17,18 +17,15 @@
  * (i) parallel_fanout_stream — (h) over the full out-of-core stack
  *     (file reader behind the async prefetch decorator), exposing
  *     the decode-overlap × fan-out product,
- * (j) decode_scaling — the shard set analyzed through the
- *     parallel-decode merge (openShardSetParallel), sweeping the
- *     reader-thread count (entries shard_readersN),
- * (k) merge_width — pure merge drain (no analysis) of a K=64
+ * (j) merge_width — pure merge drain (no analysis) of a K=64
  *     re-split, loser tree vs linear scan (entries merge_tree_k64 /
  *     merge_scan_k64), isolating what the tournament tree buys
  *     wide shard sets,
- * (l) merge_partitioned — pure drain of the same K=64 set with
+ * (k) merge_partitioned — pure drain of the same K=64 set with
  *     the merge itself split across P sequence-range workers
  *     (entries merge_partitioned_pN; p1 isolates the partition
  *     machinery, p2+ measure the scaling)
- * (m) sharded_analysis — one analysis split across W var-shard
+ * (l) sharded_analysis — one analysis split across W var-shard
  *     workers (--shard-analysis in race_detector), sweeping W
  *     (entries sharded_analysis_wN; w1 is the sequential consumer
  *     the factory falls back to, making the speedup column
@@ -71,7 +68,7 @@
  *
  *   ./bench_streaming --events=2000000 --po=shb --json=out.json
  *   ./bench_streaming --mode=fanout_seq,parallel_fanout
- *   ./bench_streaming --mode=decode_scaling,merge_width
+ *   ./bench_streaming --mode=merge_width,merge_partitioned
  */
 
 #include <sys/stat.h>
@@ -221,8 +218,7 @@ constexpr const char *kModeNames[] = {
     "shard_merge",    "shard_prefetch",
     "fanout_seq",     "parallel_fanout",
     "parallel_fanout_stream",
-    "decode_scaling", "merge_width",
-    "merge_partitioned",
+    "merge_width",    "merge_partitioned",
     "sharded_analysis",
     "checkpoint_overhead",
     "lifecycle_footprint",
@@ -411,7 +407,7 @@ main(int argc, char **argv)
                    "trace_source | file_stream | prefetch | "
                    "shard_merge | shard_prefetch | fanout_seq | "
                    "parallel_fanout | parallel_fanout_stream | "
-                   "decode_scaling | merge_width | "
+                   "merge_width | "
                    "merge_partitioned | sharded_analysis | "
                    "checkpoint_overhead | lifecycle_footprint | "
                    "decode_io | capture_async | all");
@@ -485,7 +481,6 @@ main(int argc, char **argv)
     const bool need_shards =
         modeEnabled(mode_filter, "shard_merge") ||
         modeEnabled(mode_filter, "shard_prefetch") ||
-        modeEnabled(mode_filter, "decode_scaling") ||
         modeEnabled(mode_filter, "decode_io");
     if (need_shards) {
         TraceSource shard_feed(trace);
@@ -562,35 +557,6 @@ main(int argc, char **argv)
             report("shard_prefetch", clock,
                    timePoSource<ClockT>(
                        po, *merged_prefetched, reps));
-        }
-        if (modeEnabled(mode_filter, "decode_scaling")) {
-            // Reader-count sweep over the parallel-decode merge:
-            // shard_readersN has the consuming thread merge while
-            // N threads decode; shard_prefetch_rN additionally
-            // moves the merge onto the prefetch thread — the
-            // apples-to-apples upgrade of the shard_prefetch mode
-            // (whose decode is a single reader). Capped at the
-            // cores actually present (beyond that the sweep
-            // measures scheduler thrash, not decode overlap) and
-            // at the shard count (idle readers decode nothing).
-            const unsigned hw = std::thread::hardware_concurrency();
-            const std::size_t max_readers = std::min<std::size_t>(
-                {4, hw == 0 ? 1 : hw, shards});
-            for (std::size_t r = 1; r <= max_readers; r *= 2) {
-                const auto parallel = openShardSetParallel(
-                    shard_prefix, r, window);
-                report(("shard_readers" + std::to_string(r))
-                           .c_str(),
-                       clock,
-                       timePoSource<ClockT>(po, *parallel, reps));
-                const auto stacked = makePrefetchSource(
-                    openShardSetParallel(shard_prefix, r, window),
-                    window);
-                report(("shard_prefetch_r" + std::to_string(r))
-                           .c_str(),
-                       clock,
-                       timePoSource<ClockT>(po, *stacked, reps));
-            }
         }
     };
     runClock.template operator()<TreeClock>("TC");
@@ -799,15 +765,15 @@ main(int argc, char **argv)
         // request degrades to the stream reader, so the pair
         // simply ties instead of failing.
         const auto tcb_stream =
-            openTraceFile(path, window, 0, 0, IoMode::Stream);
+            openTraceFile(path, window, 0, IoMode::Stream);
         report("decode_tcb_stream", "drain",
                timeDrain(*tcb_stream, reps));
         const auto tcb_mmap =
-            openTraceFile(path, window, 0, 0, IoMode::Mmap);
+            openTraceFile(path, window, 0, IoMode::Mmap);
         report("decode_tcb_mmap", "drain",
                timeDrain(*tcb_mmap, reps));
         const auto tcb_prefetch = makePrefetchSource(
-            openTraceFile(path, window, 0, 0, IoMode::Stream),
+            openTraceFile(path, window, 0, IoMode::Stream),
             window);
         report("decode_tcb_prefetch", "drain",
                timeDrain(*tcb_prefetch, reps));

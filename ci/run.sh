@@ -11,7 +11,7 @@
 #   Job 3 — TSan: the `threaded` ctest label — every suite that
 #           spawns threads (prefetch reader, window-bus ring,
 #           pipeline worker pool, parallel capture writers,
-#           parallel shard decode, scratch-arena regression) —
+#           partitioned merge workers, scratch-arena regression) —
 #           under ThreadSanitizer. CMakeLists.txt owns the list
 #           (TC_THREADED_TESTS), so new threaded suites are covered
 #           by adding them there, not by editing CI regexes. Scoped
@@ -23,12 +23,12 @@
 #           every recovery path runs sanitized. The suites also run
 #           at depth 1 inside jobs 1–2; this job buys the deep
 #           randomized sweeps without slowing the whole matrix.
-#   Job 1b — memory cap: the snapshot, snapshot-fuzz and crash
-#           recovery suites rerun from the Release build under
-#           `ulimit -v 4000000`, so host overcommit cannot hide an
-#           allocation sized by an unchecked header field. Not
-#           sanitized: ASan reserves more address space than the
-#           cap allows.
+#   Job 1b — memory cap: the snapshot, snapshot-fuzz, crash
+#           recovery and CLI validation suites rerun from the
+#           Release build under `ulimit -v 4000000`, so host
+#           overcommit cannot hide an allocation sized by an
+#           unchecked header field. Not sanitized: ASan reserves
+#           more address space than the cap allows.
 #   Job 0 — docs gate: internal links in docs/ + README resolve,
 #           and the flags the docs spell exist in the CLIs (and
 #           every user-facing flag is documented). Runs first: it
@@ -64,12 +64,12 @@ run_job() {
 run_job "Release -Werror" build-ci-werror \
     -DCMAKE_BUILD_TYPE=Release -DTC_WERROR=ON
 # Job 1b — memory-capped leg (see header). The subshell scopes the
-# limit to these three suites and the CLIs they spawn.
+# limit to these suites and the CLIs they spawn.
 echo "=== memory-capped (ulimit -v 4000000, Release) ==="
 (
     ulimit -v 4000000
     ctest --test-dir build-ci-werror --output-on-failure -j "${JOBS}" \
-        -R 'test_(snapshot|snapshot_fuzz|crash_recovery)$'
+        -R 'test_(snapshot|snapshot_fuzz|crash_recovery|cli_validation)$'
 )
 run_job "ASan/UBSan" build-ci-asan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTC_WERROR=ON \
@@ -99,8 +99,8 @@ TC_TEST_DEPTH="${TC_CRASH_DEPTH:-3}" ctest \
 #    may allocate more than the baseline (counts are
 #    deterministic);
 #  * throughput (25% tolerance): bench_streaming events/s — the
-#    streaming modes, the fan-out cross product, the decode-scaling
-#    reader sweep and the K=64 merge drains (sequential
+#    streaming modes, the fan-out cross product and the K=64 merge
+#    drains (sequential
 #    merge_tree_k64/merge_scan_k64 plus the range-partitioned
 #    merge_partitioned_pN sweep) — must not collapse;
 #    the loose threshold absorbs machine noise while catching a

@@ -10,52 +10,43 @@
  * the trace is read and decoded once no matter how many analyses
  * ride on it.
  *
- * By default file inputs are materialized once so the trace can be
- * validated and summarized before the timed analysis. With --stream
- * the file is consumed through the chunked readers instead: the
- * full event vector is never built, so traces larger than memory
- * analyze in O(window) input memory; --prefetch moves decode + I/O
- * to a background thread that stays one window ahead.
+ * Every input takes the same path: a chunked source (the event
+ * vector of a file is never built, so traces larger than memory
+ * analyze in O(window) input memory) behind a validating decorator
+ * that checks each window against the trace rules before any
+ * analysis sees it. An ill-formed trace stops the run with
+ * "malformed trace at event N" and exit code 2, before any report.
  *
  * Examples:
  *   ./race_detector --generate --threads=16 --events=1000000
  *   ./race_detector --trace=run.tct --po=shb --clock=vc
- *   ./race_detector --trace=huge.tcb --stream --prefetch
+ *   ./race_detector --trace=huge.tcb --prefetch
  *   ./race_detector --trace=run.tcb --po=hb,shb,maz --clock=tc,vc
- *   ./race_detector --trace=cap.0.tcs --stream   # sharded capture
+ *   ./race_detector --trace=cap.0.tcs   # sharded capture
  *
- * With --parallel[=K] the fan-out runs on a worker pool (one worker
- * per analysis, or K workers round-robin over the analyses), all
- * borrowing the same zero-copy decode windows — results are
- * identical to the sequential pass. For sharded captures,
- * --readers=K additionally spreads the *decode* over K shard
- * reader threads (reordered back to the captured sequence order),
- * so the full pipeline overlaps K decoders with N analysis
- * workers:
+ * --prefetch moves decode + I/O of a file to a background thread
+ * that stays one window ahead. With --parallel[=K] the fan-out runs
+ * on a worker pool (one worker per analysis, or K workers
+ * round-robin over the analyses), all borrowing the same zero-copy
+ * decode windows — results are identical to the sequential pass:
  *
- *   ./race_detector --trace=huge.tcb --stream --prefetch \
+ *   ./race_detector --trace=huge.tcb --prefetch \
  *       --po=hb,shb,maz --clock=tc,vc --parallel
- *   ./race_detector --trace=cap.0.tcs --stream --readers=4 \
- *       --prefetch --po=hb,shb,maz --clock=tc,vc --parallel
  *
  * With --shard-analysis[=W] each analysis is itself split across W
  * var-shard workers (sharded_driver.hh) with byte-identical reports
- * and work counters; it composes with all of the above — decode
- * readers feed the fan-out pool, and each fan-out consumer
- * re-broadcasts its windows to its own shard workers:
+ * and work counters; it composes with all of the above — each
+ * fan-out consumer re-broadcasts its windows to its own shard
+ * workers:
  *
- *   ./race_detector --trace=huge.tcb --stream --shard-analysis=4
- *   ./race_detector --trace=cap.0.tcs --stream --readers=2 \
- *       --prefetch --po=hb,maz --clock=tc --parallel \
- *       --shard-analysis=2
+ *   ./race_detector --trace=huge.tcb --shard-analysis=4
  *
- * With --merge-workers[=P] a sharded capture's K-way merge — the
- * one stage all of the above funnel through — itself runs on P
- * sequence-range workers (openShardSetPartitioned), byte-identical
- * to the sequential merge and composing with everything here,
- * checkpoint/resume included:
+ * With --merge-workers[=P] a sharded capture's K-way merge itself
+ * runs on P sequence-range workers (openShardSetPartitioned),
+ * byte-identical to the sequential merge and composing with
+ * everything here, checkpoint/resume included:
  *
- *   ./race_detector --trace=cap.0.tcs --stream --merge-workers=4 \
+ *   ./race_detector --trace=cap.0.tcs --merge-workers=4 \
  *       --prefetch --po=hb,shb,maz --clock=tc,vc --parallel
  */
 
@@ -71,8 +62,6 @@
 #include "support/timer.hh"
 #include "trace/fault_injection.hh"
 #include "trace/snapshot.hh"
-#include "trace/trace_io.hh"
-#include "trace/trace_stats.hh"
 
 using namespace tc;
 
@@ -120,11 +109,6 @@ main(int argc, char **argv)
                    "vector clocks; one input pass for any number "
                    "of analyses)");
     addTraceSourceFlags(args);
-    args.addBool("stream", false,
-                 "consume --trace through the chunked reader "
-                 "(out-of-core; whole-trace validation is skipped "
-                 "— only lock/fork discipline is checked "
-                 "event-by-event, and violating it aborts)");
     args.addString("po", "hb",
                    "partial orders, comma-separated: hb | shb | "
                    "maz");
@@ -182,11 +166,20 @@ main(int argc, char **argv)
         return kExitUsage;
     }
 
-    const std::uint64_t checkpoint_every =
-        args.getInt("checkpoint-every") < 0
-            ? 0
-            : static_cast<std::uint64_t>(
-                  args.getInt("checkpoint-every"));
+    // Counts must be non-negative; the worker flags below also
+    // take -1, their bare-flag sentinel.
+    for (const char *flag :
+         {"max-reports", "checkpoint-every", "keep-snapshots"}) {
+        if (args.getInt(flag) < 0) {
+            std::fprintf(stderr,
+                         "error: --%s expects a non-negative "
+                         "count\n",
+                         flag);
+            return kExitUsage;
+        }
+    }
+    const auto checkpoint_every =
+        static_cast<std::uint64_t>(args.getInt("checkpoint-every"));
     const std::string snapshot_dir =
         args.getString("snapshot-dir");
     const std::string resume_from = args.getString("resume-from");
@@ -204,35 +197,6 @@ main(int argc, char **argv)
                              "--snapshot-dir (or --resume-from)\n");
         return kExitUsage;
     }
-
-    const bool stream = args.getBool("stream");
-    if (checkpoint_every > 0 && !stream && has_trace) {
-        // The point of checkpointing a file analysis is resuming
-        // without re-reading the prefix; the materialized path
-        // reloads the whole file anyway.
-        std::fprintf(stderr,
-                     "error: --checkpoint-every on a trace file "
-                     "requires --stream\n");
-        return kExitUsage;
-    }
-    if (args.getBool("prefetch") && !stream) {
-        // The default path materializes the whole trace before
-        // analysis; silently ignoring the flag would let users
-        // believe background decode was measured.
-        std::fprintf(stderr,
-                     "error: --prefetch requires --stream\n");
-        return kExitUsage;
-    }
-    if (stream && !has_trace) {
-        // Generated workloads are materialized by construction, so
-        // streaming them would only skip validation while keeping
-        // O(events) memory — refuse rather than mislead.
-        std::fprintf(stderr,
-                     "error: --stream requires --trace=FILE\n");
-        return kExitUsage;
-    }
-    // -1 is the bare-flag sentinel (one worker per analysis);
-    // any other negative is a typo, not a request.
     if (args.getInt("parallel") < -1) {
         std::fprintf(stderr,
                      "error: --parallel expects a non-negative "
@@ -266,79 +230,45 @@ main(int argc, char **argv)
                      args.getString("io").c_str());
         return kExitUsage;
     }
+
     std::unique_ptr<EventSource> source;
-    if (!stream) {
-        // Materialize once: whole-trace validation and the summary
-        // header need the full event vector.
-        Trace trace;
-        if (has_trace) {
-            ParseResult parsed =
-                loadTrace(args.getString("trace"), io);
-            if (!parsed.ok) {
-                return reportError(
-                    parsed.message, parsed.line,
-                    exitCodeForMessage(parsed.message));
-            }
-            trace = std::move(parsed.trace);
-        } else if (pool) {
-            PoolWorkloadParams pparams;
-            pparams.poolSize =
-                static_cast<Tid>(args.getInt("pool-size"));
-            pparams.tasks =
-                static_cast<std::uint64_t>(args.getInt("tasks"));
-            pparams.taskEvents = static_cast<std::uint64_t>(
-                args.getInt("task-events"));
-            pparams.locks =
-                static_cast<LockId>(args.getInt("locks"));
-            pparams.vars = static_cast<VarId>(args.getInt("vars"));
-            pparams.syncRatio = args.getDouble("sync-ratio");
-            pparams.seed =
-                static_cast<std::uint64_t>(args.getInt("seed"));
-            trace = generatePoolWorkload(pparams);
-        } else {
-            trace =
-                generateRandomTrace(traceParamsFromFlags(args));
-        }
-        const ValidationResult valid = trace.validate();
-        if (!valid.ok) {
-            std::fprintf(stderr,
-                         "error: malformed trace at event %zu: "
-                         "%s\n",
-                         valid.eventIndex, valid.message.c_str());
-            return kExitFinding;
-        }
-        const TraceStats stats = computeStats(trace);
-        std::printf("trace           : %s events, %d threads, "
-                    "%s vars, %s locks, %.1f%% sync\n",
-                    humanCount(stats.events).c_str(), stats.threads,
-                    humanCount(stats.variables).c_str(),
-                    humanCount(stats.locks).c_str(),
-                    stats.syncPercent());
-        source = std::make_unique<TraceSource>(std::move(trace));
+    if (pool) {
+        PoolWorkloadParams pparams;
+        pparams.poolSize = static_cast<Tid>(args.getInt("pool-size"));
+        pparams.tasks =
+            static_cast<std::uint64_t>(args.getInt("tasks"));
+        pparams.taskEvents =
+            static_cast<std::uint64_t>(args.getInt("task-events"));
+        pparams.locks = static_cast<LockId>(args.getInt("locks"));
+        pparams.vars = static_cast<VarId>(args.getInt("vars"));
+        pparams.syncRatio = args.getDouble("sync-ratio");
+        pparams.seed = static_cast<std::uint64_t>(args.getInt("seed"));
+        source = std::make_unique<TraceSource>(
+            generatePoolWorkload(pparams));
     } else {
         source = makeEventSource(args);
-        if (source->failed())
-            return reportSourceError(*source);
-        // With failpoints armed the stream goes through the
-        // "source.next" decorator, so the kill/fault sweeps can
-        // hit the read path too; disarmed runs skip the wrap
-        // entirely.
-        if (FailpointRegistry::instance().anyArmed())
-            source = makeFaultInjectingSource(std::move(source));
-        const SourceInfo si = source->info();
-        std::printf("stream          : %s declared threads %d, "
-                    "vars %s, locks %s\n",
-                    si.eventCountKnown()
-                        ? (humanCount(si.events) + " events")
-                              .c_str()
-                        : "unknown length",
-                    si.threads,
-                    humanCount(static_cast<std::uint64_t>(si.vars))
-                        .c_str(),
-                    humanCount(
-                        static_cast<std::uint64_t>(si.locks))
-                        .c_str());
     }
+    if (source->failed())
+        return reportSourceError(*source);
+    // With failpoints armed the stream goes through the
+    // "source.next" decorator, so the kill/fault sweeps can hit the
+    // read path too; disarmed runs skip the wrap entirely. The
+    // validator sits on top, so even an injected bit flip reaches
+    // no analysis unchecked.
+    if (FailpointRegistry::instance().anyArmed())
+        source = makeFaultInjectingSource(std::move(source));
+    source = makeValidatingSource(std::move(source));
+    const SourceInfo si = source->info();
+    std::printf("trace           : %s, declared %d threads, %s "
+                "vars, %s locks\n",
+                si.eventCountKnown()
+                    ? (humanCount(si.events) + " events").c_str()
+                    : "unknown length",
+                si.threads,
+                humanCount(static_cast<std::uint64_t>(si.vars))
+                    .c_str(),
+                humanCount(static_cast<std::uint64_t>(si.locks))
+                    .c_str());
 
     // One consumer per requested (po × clock); all of them drain
     // the single source pass below.
@@ -380,20 +310,17 @@ main(int argc, char **argv)
                                      : parallel,
                                  pipeline.size());
     std::printf("configuration   : %zu analyses (po=%s × "
-                "clock=%s)%s",
+                "clock=%s)",
                 pipeline.size(), args.getString("po").c_str(),
-                args.getString("clock").c_str(),
-                stream ? " (streaming)" : "");
+                args.getString("clock").c_str());
     if (pool_size > 1)
         std::printf(" (%zu workers)", pool_size);
     if (shard_workers > 1)
         std::printf(" (%zu shard workers each)", shard_workers);
-    if (stream) {
-        const std::size_t merge_workers = resolveMergeWorkers(
-            mergeWorkersFromFlags(args));
-        if (merge_workers > 1)
-            std::printf(" (%zu merge workers)", merge_workers);
-    }
+    const std::size_t merge_workers =
+        resolveMergeWorkers(mergeWorkersFromFlags(args));
+    if (has_trace && merge_workers > 1)
+        std::printf(" (%zu merge workers)", merge_workers);
     std::printf("\n");
 
     Timer timer;
@@ -407,10 +334,8 @@ main(int argc, char **argv)
         CheckpointOptions copt;
         copt.every = checkpoint_every;
         copt.dir = snapshot_dir;
-        copt.keep = args.getInt("keep-snapshots") < 0
-                        ? 0
-                        : static_cast<std::size_t>(
-                              args.getInt("keep-snapshots"));
+        copt.keep =
+            static_cast<std::size_t>(args.getInt("keep-snapshots"));
         copt.parallel = popt;
         copt.useParallel = pool_size > 1;
         std::uint64_t start = 0;
@@ -427,8 +352,9 @@ main(int argc, char **argv)
                              "warning: skipping snapshot: %s\n",
                              diag.c_str());
             if (rr.resumed) {
-                // O(tail): the source repositions without
-                // decoding the already-analyzed prefix.
+                // The validating source rewinds and re-checks the
+                // already-analyzed prefix at decode speed, so the
+                // tail is validated against the whole history.
                 if (!source->seekToSequence(rr.position)) {
                     if (source->failed())
                         return reportSourceError(*source);

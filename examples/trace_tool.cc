@@ -31,12 +31,12 @@
  *                                              threads, unbounded
  *                                              logical thread ids)
  *
- * stats, convert, split and merge consume the chunked streaming
- * readers and never materialize the trace, so they work on files
- * larger than memory; the structural commands
- * (slice/project/prefix/compact/validate) still load the full
- * event vector, and capture materializes its generated workload so
- * the capture threads can replay it.
+ * stats, validate, convert, split and merge consume the chunked
+ * streaming readers and never materialize the trace, so they work
+ * on files larger than memory; the structural commands
+ * (slice/project/prefix/compact) still load the full event vector,
+ * and capture materializes its generated workload so the capture
+ * threads can replay it.
  */
 
 #include <sys/stat.h>
@@ -96,8 +96,8 @@ std::unique_ptr<EventSource>
 openOrDie(const std::string &path, std::size_t mergeWorkers = 0,
           IoMode io = IoMode::Auto)
 {
-    auto source = openTraceFile(path, kDefaultSourceWindow, 0,
-                                mergeWorkers, io);
+    auto source =
+        openTraceFile(path, kDefaultSourceWindow, mergeWorkers, io);
     if (source->failed())
         std::exit(reportSourceError(*source));
     return source;
@@ -302,11 +302,25 @@ main(int argc, char **argv)
         return 0;
     }
     if (cmd == "validate" && pos.size() == 2) {
-        const Trace t = loadOrDie(pos[1]);
-        const ValidationResult v = t.validate();
+        // Streaming, like stats: O(window + distinct ids) memory.
+        // The whole file is decoded even past a violation, so a
+        // corrupt file exits 3 wherever its damage lies.
+        const auto source = openOrDie(pos[1], merge_workers, io);
+        TraceValidator validator;
+        std::uint64_t events = 0;
+        std::vector<Event> storage;
+        EventWindow window;
+        while (!(window = source->readWindow(storage,
+                                             kDefaultSourceWindow))
+                    .empty()) {
+            validator.add(window.data, window.size);
+            events += window.size;
+        }
+        checkDrained(*source, pos[1]);
+        const ValidationResult &v = validator.result();
         if (v.ok) {
             std::printf("OK: %s events, well-formed\n",
-                        humanCount(t.size()).c_str());
+                        humanCount(events).c_str());
             return 0;
         }
         std::printf("INVALID at event %zu: %s\n", v.eventIndex,
@@ -475,7 +489,7 @@ main(int argc, char **argv)
         auto source =
             named_member
                 ? openShardMember(pos[1], kDefaultSourceWindow,
-                                  0, merge_workers, io)
+                                  merge_workers, io)
                 : merge_workers > 0
                       ? openShardSetPartitioned(
                             prefix, merge_workers,

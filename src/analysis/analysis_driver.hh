@@ -235,12 +235,12 @@ class AnalysisDriver
      * caller must check source.failed() to distinguish that from a
      * clean end of stream.
      *
-     * EngineConfig::validate is necessarily ignored here: whole-
-     * trace validation needs the full event vector. Only feed()'s
-     * incremental checks apply (id ranges, lock discipline, fork
-     * targets); violations like a thread acting after being joined
-     * pass undetected — materialize and run(Trace) when that
-     * guarantee matters.
+     * EngineConfig::validate does not apply here: the engine
+     * assumes a well-formed stream. Wrap an untrusted source in
+     * makeValidatingSource (trace/event_source.hh), which runs the
+     * same TraceValidator as Trace::validate() on every window and
+     * fails the source before an ill-formed event is delivered —
+     * race_detector reads every input that way.
      */
     EngineResult
     run(EventSource &source)

@@ -43,12 +43,16 @@ enum ExitCode : int
     kExitIo = 4,
 };
 
-/** Exit code for a failed EventSource, from its error kind. */
+/** Exit code for a failed EventSource, from its error kind: a
+ * trace that breaks the trace rules (Invalid) is a finding. */
 inline int
 exitCodeFor(const EventSource &source)
 {
-    return source.errorKind() == SourceErrorKind::Io ? kExitIo
-                                                     : kExitCorrupt;
+    switch (source.errorKind()) {
+      case SourceErrorKind::Io: return kExitIo;
+      case SourceErrorKind::Invalid: return kExitFinding;
+      default: return kExitCorrupt;
+    }
 }
 
 /** Classify a bare error message: environment failures follow the

@@ -22,10 +22,6 @@ addTraceSourceFlags(ArgParser &args)
     args.addBool("prefetch", false,
                  "decode --trace on a background reader thread "
                  "(double-buffered windows)");
-    args.addInt("readers", 0,
-                "decode a sharded --trace with K parallel reader "
-                "threads, reordered on sequence numbers (0 = "
-                "sequential merge; ignored for non-shard inputs)");
     addMergeWorkersFlag(args);
     args.addBool("generate", false, "generate a synthetic trace");
     args.addInt("threads", 16, "threads for --generate");
@@ -89,7 +85,7 @@ addMergeWorkersFlag(ArgParser &args)
         "merge-workers", 0, -1,
         "split a sharded --trace's K-way merge across P "
         "sequence-range workers (bare = one per hardware thread; "
-        "0/1 = sequential merge; subsumes --readers)");
+        "0/1 = sequential merge)");
 }
 
 std::size_t
@@ -144,11 +140,6 @@ std::unique_ptr<EventSource>
 makeEventSource(const ArgParser &args)
 {
     if (!args.getString("trace").empty()) {
-        const std::int64_t readers_raw = args.getInt("readers");
-        const auto readers =
-            readers_raw < 0 ? std::size_t{0}
-                            : static_cast<std::size_t>(
-                                  readers_raw);
         const std::size_t mergeWorkers =
             resolveMergeWorkers(mergeWorkersFromFlags(args));
         IoMode io = IoMode::Auto;
@@ -157,17 +148,13 @@ makeEventSource(const ArgParser &args)
                 "unknown --io mode '%s' (auto|mmap|stream)",
                 args.getString("io").c_str()));
         }
-        auto source =
-            openTraceFile(args.getString("trace"),
-                          kDefaultSourceWindow, readers,
-                          mergeWorkers, io);
+        auto source = openTraceFile(args.getString("trace"),
+                                    kDefaultSourceWindow,
+                                    mergeWorkers, io);
         // Prefetch pays off where there is decode + I/O to hide;
-        // generated sources below have neither. It composes with
-        // --readers: the shard readers decode, the prefetch
-        // thread runs the sequence-reordering merge off the
-        // analysis thread. (--merge-workers decodes and merges on
-        // its range workers; prefetch then just moves the
-        // stitching off the analysis thread.)
+        // generated sources below have neither. Over a partitioned
+        // merge the range workers decode and merge, and prefetch
+        // moves the stitching off the analysis thread.
         if (args.getBool("prefetch") && !source->failed())
             source = makePrefetchSource(std::move(source));
         return source;

@@ -1,10 +1,13 @@
 /**
  * @file
  * Shared CLI plumbing for tools that analyze an event stream: one
- * set of input flags (--trace / --generate and the generator knobs)
+ * set of input flags (--trace / --generate, the generator knobs,
+ * and the file-reading knobs --io, --prefetch and --merge-workers)
  * and one factory that turns parsed flags into an EventSource, so
- * every tool consumes trace files, synthetic workloads and future
- * source kinds through the same interface.
+ * every tool reads trace files, shard sets and synthetic workloads
+ * through the same chunked interface. Callers that analyze the
+ * stream wrap it in makeValidatingSource (trace/event_source.hh),
+ * which checks every event before the analysis sees it.
  */
 
 #ifndef TC_SUPPORT_SOURCE_CLI_HH
@@ -81,9 +84,7 @@ inline constexpr std::size_t kMergeAuto =
  * (openShardSetPartitioned), output byte-identical to the
  * sequential merge. Bare = one worker per hardware thread; 0/1 =
  * the ordinary single-thread merge. Composes with --prefetch,
- * --parallel, --shard-analysis and checkpoint/resume; a
- * partitioned merge decodes on its own workers, so it subsumes
- * --readers when both are given. */
+ * --parallel, --shard-analysis and checkpoint/resume. */
 void addMergeWorkersFlag(ArgParser &args);
 
 /** The merge-worker request the flags describe: 0 = sequential
@@ -115,14 +116,10 @@ bool ioModeFromFlags(const ArgParser &args, IoMode &out);
  * Build the EventSource the parsed flags describe:
  *  --trace=FILE     a chunked streaming file reader (text/binary/
  *                   shard set by extension; never materializes the
- *                   event vector), wrapped in an asynchronous
- *                   double-buffering decorator under --prefetch;
- *                   --readers=K decodes a shard set on K parallel
- *                   reader threads (reordered on sequence numbers
- *                   — see trace/shard.hh; composes with
- *                   --prefetch); --merge-workers=P runs the
- *                   range-partitioned parallel merge instead
- *                   (subsuming --readers);
+ *                   event vector); --merge-workers=P merges a shard
+ *                   set on P range-partitioned workers, and
+ *                   --prefetch adds an asynchronous double-buffering
+ *                   decorator on top;
  *  --generate       a generated synthetic workload.
  * Returns a source in the failed() state on open/parse errors, and
  * null only when neither input flag was given.

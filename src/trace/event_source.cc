@@ -584,6 +584,84 @@ class FailedSource final : public EventSource
     bool rewind() override { return false; }
 };
 
+/** The makeValidatingSource decorator. */
+class ValidatingEventSource final : public EventSource
+{
+  public:
+    explicit ValidatingEventSource(std::unique_ptr<EventSource> inner)
+        : inner_(std::move(inner))
+    {
+        mirrorError();
+    }
+
+    SourceInfo info() const override { return inner_->info(); }
+
+    bool
+    next(Event &out) override
+    {
+        if (failed())
+            return false;
+        if (!inner_->next(out)) {
+            mirrorError();
+            return false;
+        }
+        return passes(&out, 1);
+    }
+
+    EventWindow
+    readWindow(std::vector<Event> &storage,
+               std::size_t max) override
+    {
+        if (failed())
+            return {};
+        const EventWindow window = inner_->readWindow(storage, max);
+        if (window.empty())
+            mirrorError();
+        if (!passes(window.data, window.size))
+            return {};
+        return window;
+    }
+
+    bool
+    rewind() override
+    {
+        if (!inner_->rewind())
+            return false;
+        validator_.reset();
+        clearError();
+        mirrorError();
+        return !failed();
+    }
+
+  private:
+    /** Validate @p n events; on a violation fail the source so the
+     * caller withholds them all. */
+    bool
+    passes(const Event *events, std::size_t n)
+    {
+        if (validator_.add(events, n) == n)
+            return true;
+        const ValidationResult &v = validator_.result();
+        fail(0,
+             strFormat("malformed trace at event %zu: %s",
+                       v.eventIndex, v.message.c_str()),
+             SourceErrorKind::Invalid);
+        return false;
+    }
+
+    void
+    mirrorError()
+    {
+        if (inner_->failed() && !failed()) {
+            fail(inner_->errorLine(), inner_->error(),
+                 inner_->errorKind());
+        }
+    }
+
+    std::unique_ptr<EventSource> inner_;
+    TraceValidator validator_;
+};
+
 } // namespace
 
 std::unique_ptr<EventSource>
@@ -596,6 +674,12 @@ std::unique_ptr<EventSource>
 makeBinaryEventSource(std::istream &is, std::size_t window)
 {
     return std::make_unique<BinaryEventSource>(is, window);
+}
+
+std::unique_ptr<EventSource>
+makeValidatingSource(std::unique_ptr<EventSource> inner)
+{
+    return std::make_unique<ValidatingEventSource>(std::move(inner));
 }
 
 std::unique_ptr<EventSource>
@@ -617,12 +701,10 @@ useMappedIo(IoMode io)
 
 std::unique_ptr<EventSource>
 openTraceFile(const std::string &path, std::size_t window,
-              std::size_t shardReaders, std::size_t mergeWorkers,
-              IoMode io)
+              std::size_t mergeWorkers, IoMode io)
 {
     if (isShardPath(path))
-        return openShardMember(path, window, shardReaders,
-                               mergeWorkers, io);
+        return openShardMember(path, window, mergeWorkers, io);
     const bool binary =
         path.size() >= 4 &&
         path.compare(path.size() - 4, 4, ".tcb") == 0;

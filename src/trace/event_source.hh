@@ -11,7 +11,7 @@
  *
  * Implementations:
  *  - TraceSource          — view over (or owner of) a materialized
- *                           Trace; the batch path.
+ *                           Trace (generated workloads, tests).
  *  - text/binary readers  — chunked streaming readers over the .tct
  *                           and .tcb formats (see trace_io.hh); the
  *                           whole-file loaders in trace_io are thin
@@ -24,6 +24,9 @@
  *                           (double-buffered windows).
  *  - generator sources    — src/gen/generator_source.hh wraps the
  *                           synthetic generators.
+ *  - validating decorator — makeValidatingSource checks every event
+ *                           against the trace rules (TraceValidator)
+ *                           before handing it out.
  */
 
 #ifndef TC_TRACE_EVENT_SOURCE_HH
@@ -41,6 +44,10 @@
 
 namespace tc {
 
+/** Default event window of the chunked binary reader (events held
+ * in memory at any time, not a file-size limit). */
+inline constexpr std::size_t kDefaultSourceWindow = 4096;
+
 /** Sentinel for "event count not known before the end of stream". */
 inline constexpr std::uint64_t kUnknownEventCount = ~0ull;
 
@@ -49,13 +56,16 @@ inline constexpr std::uint64_t kUnknownEventCount = ~0ull;
  * both CLIs map to exit codes (support/diagnostics.hh). Io covers
  * environment failures (unopenable path, read errors, injected
  * faults); Corrupt covers malformed input (bad magic, truncated
- * streams, out-of-range records, checksum mismatches).
+ * streams, out-of-range records, checksum mismatches); Invalid
+ * covers events that decode fine but break the trace rules
+ * (TraceValidator, raised by makeValidatingSource).
  */
 enum class SourceErrorKind : std::uint8_t
 {
     None,
     Io,
     Corrupt,
+    Invalid,
 };
 
 /** Static facts about a stream, known before the first event. */
@@ -195,10 +205,16 @@ class EventSource
     {
         if (!rewind())
             return false;
-        Event scratch;
-        for (std::uint64_t i = 0; i < n; i++) {
-            if (!next(scratch))
-                return !failed();
+        // Discard whole windows: one virtual call per window, not
+        // per event.
+        std::vector<Event> storage;
+        while (n > 0) {
+            const auto take = static_cast<std::size_t>(
+                std::min<std::uint64_t>(n, kDefaultSourceWindow));
+            const EventWindow window = readWindow(storage, take);
+            if (window.empty())
+                break;
+            n -= window.size;
         }
         return !failed();
     }
@@ -303,10 +319,6 @@ class TraceSource final : public EventSource
     std::size_t pos_ = 0;
 };
 
-/** Default event window of the chunked binary reader (events held
- * in memory at any time, not a file-size limit). */
-inline constexpr std::size_t kDefaultSourceWindow = 4096;
-
 /**
  * How file-backed binary readers (.tcb and .tcs) get their bytes —
  * the --io flag of the CLIs.
@@ -348,24 +360,32 @@ makeBinaryEventSource(std::istream &is,
  * extension: ".tcb" binary, ".tcs" a shard-set member (the whole
  * set opens, merged back into capture order — see trace/shard.hh),
  * anything else text, matching loadTrace(). For shard sets,
- * @p shardReaders > 0 decodes the members on that many parallel
- * reader threads (reordered back to the merged sequence order),
- * and @p mergeWorkers > 0 splits the merge itself across that many
- * range-partitioned workers (which decode for themselves, so it
- * subsumes @p shardReaders — see trace/shard.hh); neither flag has
- * an effect on single-file formats, whose decode is parallelized
- * by the prefetch decorator instead. @p io selects the byte source
- * of the binary formats (see IoMode; text traces always stream).
- * The returned source owns the file stream(s) or mapping(s). On
- * open or header failure the source is returned in the failed()
- * state (never null).
+ * @p mergeWorkers > 0 splits the merge across that many
+ * range-partitioned workers (see trace/shard.hh); it has no effect
+ * on single-file formats, whose decode is parallelized by the
+ * prefetch decorator instead. @p io selects the byte source of the
+ * binary formats (see IoMode; text traces always stream). The
+ * returned source owns the file stream(s) or mapping(s). On open or
+ * header failure the source is returned in the failed() state
+ * (never null).
  */
 std::unique_ptr<EventSource>
 openTraceFile(const std::string &path,
               std::size_t window = kDefaultSourceWindow,
-              std::size_t shardReaders = 0,
               std::size_t mergeWorkers = 0,
               IoMode io = IoMode::Auto);
+
+/**
+ * Decorate @p inner with a TraceValidator: every event is checked
+ * before it is handed out, and a window holding a violation is
+ * withheld entirely — the source fails with an Invalid-kind error
+ * "malformed trace at event N: <msg>", N and msg exactly as
+ * Trace::validate() reports them. rewind() restarts the check, and
+ * seekToSequence is the base class's rewind-and-discard, so a
+ * resumed run re-validates the prefix it skips.
+ */
+std::unique_ptr<EventSource>
+makeValidatingSource(std::unique_ptr<EventSource> inner);
 
 /** A source that is born failed() with @p message — for factories
  * that must report "could not even open the input" through the

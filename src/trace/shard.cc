@@ -182,10 +182,9 @@ struct ShardRecord
 /**
  * Batched, validating decoder over one shard file. Reads at most
  * `window` raw records per refill and decodes them into ShardRecord
- * batches — the unit both merge paths (and the parallel decode
- * threads) move around. Validation (op/id ranges, strictly
- * increasing sequence numbers) happens here, once, for every
- * consumer.
+ * batches — the unit both merge paths move around. Validation
+ * (op/id ranges, strictly increasing sequence numbers) happens
+ * here, once, for every consumer.
  *
  * With IoMode::Auto/Mmap (and no armed fault injection) the file
  * is memory-mapped: batches decode straight out of the mapping
@@ -795,362 +794,6 @@ class MergingEventSource final : public EventSource
     bool rejected_ = false;
 };
 
-/** Decoded batches a reader thread may keep queued per shard
- * (double buffering: one being merged, one decoding behind it). */
-constexpr std::size_t kShardQueueDepth = 2;
-
-/**
- * The same merged order with decode spread over R reader threads.
- * Each thread owns the shards congruent to its index and decodes
- * their batches into bounded per-shard queues (out-of-order
- * arrival across shards); the consuming thread pops per-shard
- * heads and reorders on sequence numbers through the loser tree
- * (in-order delivery). All hand-off state sits behind one mutex,
- * taken per batch — never per event.
- */
-class ParallelMergingEventSource final : public EventSource
-{
-  public:
-    ParallelMergingEventSource(const std::string &prefix,
-                               std::size_t readers,
-                               std::size_t window, IoMode io)
-        : picker_(1, MergeStrategy::LoserTree)
-    {
-        std::vector<std::unique_ptr<ShardFileReader>> opened;
-        std::string err =
-            openShardReaders(prefix, window, opened, info_, io);
-        if (!err.empty()) {
-            rejected_ = true;
-            fail(0, std::move(err));
-            return;
-        }
-        shards_.resize(opened.size());
-        for (std::size_t i = 0; i < opened.size(); i++)
-            shards_[i].reader = std::move(opened[i]);
-        readerCount_ = readers == 0 ? 1 : readers;
-        if (readerCount_ > shards_.size())
-            readerCount_ = shards_.size();
-        picker_ =
-            MergePicker(shards_.size(), MergeStrategy::LoserTree);
-        startThreads();
-        loadHeads();
-    }
-
-    ~ParallelMergingEventSource() override { stopThreads(); }
-
-    SourceInfo info() const override { return info_; }
-
-    bool
-    next(Event &out) override
-    {
-        if (failed())
-            return false;
-        if (!pendingError_.empty()) {
-            failPending();
-            return false;
-        }
-        const std::size_t w = picker_.pick();
-        if (picker_.keyOf(w) == kLoserTreeInfKey)
-            return false;
-        ShardState &s = shards_[w];
-        out = s.batch[s.pos].event;
-        s.pos++;
-        advanceKey(w);
-        return true;
-    }
-
-    std::size_t
-    read(Event *out, std::size_t max) override
-    {
-        if (failed())
-            return 0;
-        std::size_t n = 0;
-        while (n < max) {
-            if (!pendingError_.empty()) {
-                if (n == 0)
-                    failPending();
-                break;
-            }
-            const std::size_t w = picker_.pick();
-            if (picker_.keyOf(w) == kLoserTreeInfKey)
-                break;
-            ShardState &s = shards_[w];
-            out[n++] = s.batch[s.pos].event;
-            s.pos++;
-            advanceKey(w);
-        }
-        return n;
-    }
-
-    bool
-    rewind() override
-    {
-        if (rejected_)
-            return false;
-        stopThreads();
-        for (ShardState &s : shards_) {
-            s.full.clear();
-            s.eof = false;
-            s.decodeError.clear();
-            s.batch.clear();
-            s.pos = 0;
-            if (!s.reader->rewind()) {
-                fail(0, strFormat("%s: rewind failed",
-                                  s.reader->path().c_str()));
-                return false;
-            }
-        }
-        clearError();
-        pendingError_.clear();
-        startThreads();
-        loadHeads();
-        return !failed();
-    }
-
-    /** Same seek as the sequential merge; the reader threads are
-     * quiesced around the repositioning. */
-    bool
-    seekToSequence(std::uint64_t n) override
-    {
-        if (rejected_)
-            return false;
-        if (n == 0)
-            return rewind();
-        stopThreads();
-        std::vector<ShardFileReader *> readers;
-        readers.reserve(shards_.size());
-        for (ShardState &s : shards_)
-            readers.push_back(s.reader.get());
-        std::uint64_t key = kLoserTreeInfKey;
-        if (n < info_.events &&
-            !findSeekKey(readers, n, key)) {
-            fail(0, "shard seek failed", SourceErrorKind::Io);
-            return false;
-        }
-        for (ShardState &s : shards_) {
-            std::uint64_t index = s.reader->header().shardEvents;
-            if (n < info_.events &&
-                !s.reader->countBelow(key, index)) {
-                fail(0, "shard seek failed", SourceErrorKind::Io);
-                return false;
-            }
-            s.full.clear();
-            s.eof = false;
-            s.decodeError.clear();
-            s.batch.clear();
-            s.pos = 0;
-            if (!s.reader->seekToIndex(index)) {
-                fail(0, strFormat("%s: seek failed",
-                                  s.reader->path().c_str()),
-                     SourceErrorKind::Io);
-                return false;
-            }
-        }
-        clearError();
-        pendingError_.clear();
-        startThreads();
-        loadHeads();
-        return !failed();
-    }
-
-  private:
-    struct ShardState
-    {
-        /** Touched only by its reader thread while threads run. */
-        std::unique_ptr<ShardFileReader> reader;
-
-        /** Reader → consumer hand-off, guarded by mutex_. */
-        std::deque<std::vector<ShardRecord>> full;
-        bool eof = false;
-        std::string decodeError;
-
-        /** Consumer-thread-only merge cursor. */
-        std::vector<ShardRecord> batch;
-        std::size_t pos = 0;
-    };
-
-    void
-    startThreads()
-    {
-        stopRequested_ = false;
-        threads_.reserve(readerCount_);
-        for (std::size_t r = 0; r < readerCount_; r++)
-            threads_.emplace_back(
-                [this, r] { readerLoop(r); });
-    }
-
-    void
-    stopThreads()
-    {
-        if (threads_.empty())
-            return;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stopRequested_ = true;
-        }
-        spaceAvailable_.notify_all();
-        dataAvailable_.notify_all();
-        for (std::thread &t : threads_)
-            t.join();
-        threads_.clear();
-        stopRequested_ = false;
-    }
-
-    void
-    readerLoop(std::size_t self)
-    {
-        // Owned shards: self, self+R, ... Rotating the starting
-        // point keeps one full queue from starving the thread's
-        // other shards.
-        std::vector<std::size_t> owned;
-        for (std::size_t s = self; s < shards_.size();
-             s += readerCount_)
-            owned.push_back(s);
-        std::size_t rotate = 0;
-        std::vector<ShardRecord> batch;
-        constexpr std::size_t kNone = ~static_cast<std::size_t>(0);
-        for (;;) {
-            std::size_t target = kNone;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                spaceAvailable_.wait(lock, [&] {
-                    if (stopRequested_)
-                        return true;
-                    bool all_done = true;
-                    for (const std::size_t s : owned) {
-                        if (shards_[s].eof)
-                            continue;
-                        all_done = false;
-                        if (shards_[s].full.size() <
-                            kShardQueueDepth)
-                            return true;
-                    }
-                    return all_done;
-                });
-                if (stopRequested_)
-                    return;
-                for (std::size_t i = 0; i < owned.size(); i++) {
-                    const std::size_t s =
-                        owned[(rotate + i) % owned.size()];
-                    if (!shards_[s].eof &&
-                        shards_[s].full.size() <
-                            kShardQueueDepth) {
-                        target = s;
-                        rotate = (rotate + i + 1) % owned.size();
-                        break;
-                    }
-                }
-                if (target == kNone)
-                    return; // every owned shard decoded fully
-                if (!spare_.empty()) {
-                    batch = std::move(spare_.back());
-                    spare_.pop_back();
-                }
-            }
-            // Decode outside the lock: this is the work the
-            // parallelism exists to overlap.
-            ShardState &st = shards_[target];
-            const bool produced = st.reader->readBatch(batch);
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (stopRequested_)
-                    return;
-                if (produced) {
-                    st.full.push_back(std::move(batch));
-                    batch = {};
-                } else {
-                    st.eof = true;
-                    if (!st.reader->ok())
-                        st.decodeError = st.reader->error();
-                }
-            }
-            dataAvailable_.notify_all();
-        }
-    }
-
-    void
-    failPending()
-    {
-        std::string message = std::move(pendingError_);
-        pendingError_.clear();
-        fail(0, std::move(message));
-    }
-
-    /** Consumer side: pop shard @p s's next decoded batch,
-     * blocking on its reader thread. False once the shard is
-     * drained; a sticky decode error then becomes the pending
-     * source error — surfacing only after every valid record of
-     * the shard was delivered, matching the sequential merge. */
-    bool
-    refillShard(std::size_t s)
-    {
-        ShardState &st = shards_[s];
-        std::vector<ShardRecord> drained = std::move(st.batch);
-        st.batch.clear();
-        st.pos = 0;
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (drained.capacity() > 0)
-            spare_.push_back(std::move(drained));
-        dataAvailable_.wait(lock, [&] {
-            return stopRequested_ || !st.full.empty() || st.eof;
-        });
-        if (st.full.empty()) {
-            if (!st.decodeError.empty())
-                pendingError_ = st.decodeError;
-            return false;
-        }
-        st.batch = std::move(st.full.front());
-        st.full.pop_front();
-        lock.unlock();
-        spaceAvailable_.notify_all();
-        return true;
-    }
-
-    void
-    advanceKey(std::size_t w)
-    {
-        ShardState &s = shards_[w];
-        if (s.pos < s.batch.size()) {
-            picker_.update(w, s.batch[s.pos].seq);
-            return;
-        }
-        picker_.update(w, refillShard(w) ? s.batch[0].seq
-                                         : kLoserTreeInfKey);
-    }
-
-    void
-    loadHeads()
-    {
-        std::vector<std::uint64_t> keys(shards_.size(),
-                                        kLoserTreeInfKey);
-        for (std::size_t s = 0; s < shards_.size(); s++) {
-            if (refillShard(s)) {
-                keys[s] = shards_[s].batch[0].seq;
-            } else if (!pendingError_.empty()) {
-                failPending();
-                return;
-            }
-        }
-        picker_.reset(keys);
-    }
-
-    std::vector<ShardState> shards_;
-    SourceInfo info_;
-    MergePicker picker_;
-    std::size_t readerCount_ = 1;
-
-    std::mutex mutex_;
-    std::condition_variable dataAvailable_;  ///< consumer waits
-    std::condition_variable spaceAvailable_; ///< readers wait
-    /** Recycled batch capacity, shared by all reader threads. */
-    std::vector<std::vector<ShardRecord>> spare_;
-    std::vector<std::thread> threads_;
-    bool stopRequested_ = false;
-
-    std::string pendingError_;
-    bool rejected_ = false;
-};
-
 /** Merged-event batches a range worker may keep queued ahead of
  * the consumer (double buffering per range: one being delivered,
  * one merging behind it). */
@@ -1159,9 +802,9 @@ constexpr std::size_t kRangeQueueDepth = 2;
 /**
  * The merged order reconstructed by P range-partitioned workers.
  *
- * Where openShardSetParallel parallelizes *decode* and leaves the
- * reorder on the consuming thread, this partitions the reorder
- * itself: the global sequence space [min stamp, max stamp + 1) is
+ * Where the sequential merge decodes and reorders on the consuming
+ * thread, this partitions the reorder itself: the global sequence
+ * space [min stamp, max stamp + 1) is
  * split into P contiguous key ranges
  * (MergePicker::splitSequenceRange), and each worker runs a full
  * private K-way merge — its own ShardFileReader cursors, its own
@@ -2859,15 +2502,6 @@ openShardSet(const std::string &prefix, std::size_t window,
 }
 
 std::unique_ptr<EventSource>
-openShardSetParallel(const std::string &prefix,
-                     std::size_t readers, std::size_t window,
-                     IoMode io)
-{
-    return std::make_unique<ParallelMergingEventSource>(
-        prefix, readers, window, io);
-}
-
-std::unique_ptr<EventSource>
 openShardSetPartitioned(const std::string &prefix,
                         std::size_t workers, std::size_t window,
                         IoMode io)
@@ -2878,8 +2512,7 @@ openShardSetPartitioned(const std::string &prefix,
 
 std::unique_ptr<EventSource>
 openShardMember(const std::string &path, std::size_t window,
-                std::size_t readers, std::size_t mergeWorkers,
-                IoMode io)
+                std::size_t mergeWorkers, IoMode io)
 {
     std::string prefix;
     std::uint32_t index = 0;
@@ -2891,13 +2524,10 @@ openShardMember(const std::string &path, std::size_t window,
     }
     auto merged =
         mergeWorkers > 0
-            ? openShardSetPartitioned(prefix, mergeWorkers,
-                                      window, io)
-            : readers > 0
-                  ? openShardSetParallel(prefix, readers, window,
-                                         io)
-                  : openShardSet(prefix, window,
-                                 MergeStrategy::LoserTree, io);
+            ? openShardSetPartitioned(prefix, mergeWorkers, window,
+                                      io)
+            : openShardSet(prefix, window, MergeStrategy::LoserTree,
+                           io);
     // The named member must belong to the set that shard 0's
     // header describes — a stale higher-numbered file from an
     // earlier, wider split would otherwise be silently *excluded*

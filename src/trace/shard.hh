@@ -44,12 +44,6 @@
  *                             tree over the K shard heads; the
  *                             linear scan stays selectable for
  *                             benchmarks).
- *  - openShardSetParallel   — the same merged order with decode
- *                             spread over R reader threads: each
- *                             decodes its shards' windows
- *                             concurrently, the consumer reorders
- *                             on sequence numbers (out-of-order
- *                             arrival, in-order delivery).
  *  - openShardSetPartitioned — the same merged order with the
  *                             *merge itself* split across P
  *                             workers: the global sequence space
@@ -384,21 +378,6 @@ openShardSet(const std::string &prefix,
              IoMode io = IoMode::Auto);
 
 /**
- * The same merged order with decode parallelized: @p readers
- * threads (clamped to [1, shard count]) decode their shards'
- * windows concurrently into bounded per-shard queues, and the
- * consuming thread reorders the out-of-order arrivals on sequence
- * numbers — stream, end position and error behaviour identical to
- * openShardSet (the parallel-decode suite pins this per engine
- * policy × clock). Never null.
- */
-std::unique_ptr<EventSource>
-openShardSetParallel(const std::string &prefix,
-                     std::size_t readers,
-                     std::size_t window = kDefaultSourceWindow,
-                     IoMode io = IoMode::Auto);
-
-/**
  * The same merged order with the reconstruction itself partitioned:
  * the dense global sequence space is split into @p workers
  * contiguous key ranges (`MergePicker::splitSequenceRange`), one
@@ -408,8 +387,7 @@ openShardSetParallel(const std::string &prefix,
  * drains the ranges in order through bounded hand-off queues, so
  * stream, end position and error behaviour are identical to
  * openShardSet (the partitioned-merge suite pins this). Decode
- * happens on the merge workers, so this also subsumes
- * openShardSetParallel's reader threads. @p workers is clamped to
+ * happens on the merge workers too. @p workers is clamped to
  * [1, kMaxShardSetCount]. Never null.
  */
 std::unique_ptr<EventSource>
@@ -421,10 +399,8 @@ openShardSetPartitioned(const std::string &prefix,
 /**
  * Open the shard set that member file @p path belongs to (the
  * `openTraceFile` path for `.tcs` inputs). @p mergeWorkers > 0
- * selects the range-partitioned merge (which decodes on its own
- * workers and therefore subsumes @p readers); otherwise @p readers
- * > 0 spreads decode over that many reader threads (sequential
- * merge when both are 0). Fails when @p path does not parse as
+ * selects the range-partitioned merge, 0 the sequential one.
+ * Fails when @p path does not parse as
  * `<prefix>.<index>.tcs` or when its index lies outside the set
  * declared by the headers — a stale member from an earlier, wider
  * split must not silently open a set that excludes it.
@@ -432,7 +408,6 @@ openShardSetPartitioned(const std::string &prefix,
 std::unique_ptr<EventSource>
 openShardMember(const std::string &path,
                 std::size_t window = kDefaultSourceWindow,
-                std::size_t readers = 0,
                 std::size_t mergeWorkers = 0,
                 IoMode io = IoMode::Auto);
 

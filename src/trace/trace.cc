@@ -99,191 +99,184 @@ Trace::append(const Event *events, std::size_t n)
 ValidationResult
 Trace::validate() const
 {
-    // Holder of each lock; kNoTid when free.
-    std::vector<Tid> holder(static_cast<std::size_t>(numLocks_),
-                            kNoTid);
-    // Threads that have performed at least one event so far.
-    std::vector<bool> started(static_cast<std::size_t>(numThreads_),
-                              false);
-    // Threads that were the target of a fork / a join.
-    std::vector<bool> forked(static_cast<std::size_t>(numThreads_),
-                             false);
-    std::vector<bool> joined(static_cast<std::size_t>(numThreads_),
-                             false);
-    // Lifecycle protocol state: tcreate → tjoin → tretire. A
-    // lifecycle-managed thread is disjoint from fork targets, and
-    // tjoin reuses `joined` so "acts after being joined" covers it.
-    std::vector<bool> created(static_cast<std::size_t>(numThreads_),
-                              false);
-    std::vector<bool> retired(static_cast<std::size_t>(numThreads_),
-                              false);
+    TraceValidator validator;
+    validator.add(events_.data(), events_.size());
+    return validator.result();
+}
 
-    for (std::size_t i = 0; i < events_.size(); i++) {
-        const Event &e = events_[i];
-        if (e.tid < 0 || e.tid >= numThreads_) {
-            return ValidationResult::failure(
-                i, strFormat("thread id %d out of range", e.tid));
-        }
-        if (joined[static_cast<std::size_t>(e.tid)]) {
-            return ValidationResult::failure(
-                i, strFormat("thread %d acts after being joined",
-                             e.tid));
-        }
-        started[static_cast<std::size_t>(e.tid)] = true;
+namespace {
 
-        switch (e.op) {
-          case OpType::Read:
-          case OpType::Write:
-            if (e.var() < 0 || e.var() >= numVars_) {
-                return ValidationResult::failure(
-                    i, strFormat("variable id %d out of range",
-                                 e.var()));
-            }
-            break;
-          case OpType::Acquire: {
-            if (e.lock() < 0 || e.lock() >= numLocks_) {
-                return ValidationResult::failure(
-                    i, strFormat("lock id %d out of range", e.lock()));
-            }
-            Tid &h = holder[static_cast<std::size_t>(e.lock())];
+// TraceValidator per-thread state bits.
+constexpr std::uint8_t kStarted = 1;  ///< has performed an event
+constexpr std::uint8_t kForked = 2;   ///< target of a fork
+constexpr std::uint8_t kJoined = 4;   ///< target of a join or tjoin
+constexpr std::uint8_t kCreated = 8;  ///< target of a tcreate
+constexpr std::uint8_t kRetired = 16; ///< target of a tretire
+constexpr std::uint8_t kTJoined = 32; ///< target of a tjoin
+
+} // namespace
+
+std::size_t
+TraceValidator::add(const Event *events, std::size_t n)
+{
+    if (!result_.ok)
+        return 0;
+    for (std::size_t i = 0; i < n; i++, index_++) {
+        if (!check(events[i]))
+            return i;
+    }
+    return n;
+}
+
+void
+TraceValidator::reset()
+{
+    threads_.clear();
+    holders_.clear();
+    index_ = 0;
+    result_ = {};
+}
+
+bool
+TraceValidator::fail(std::string message)
+{
+    result_ = ValidationResult::failure(
+        static_cast<std::size_t>(index_), std::move(message));
+    return false;
+}
+
+std::uint8_t &
+TraceValidator::threadState(Tid t)
+{
+    const auto i = static_cast<std::size_t>(t);
+    if (i >= threads_.size())
+        threads_.resize(i + 1, 0);
+    return threads_[i];
+}
+
+Tid &
+TraceValidator::holder(LockId l)
+{
+    const auto i = static_cast<std::size_t>(l);
+    if (i >= holders_.size())
+        holders_.resize(i + 1, kNoTid);
+    return holders_[i];
+}
+
+bool
+TraceValidator::check(const Event &e)
+{
+    if (e.tid < 0)
+        return fail(strFormat("thread id %d out of range", e.tid));
+    std::uint8_t &self = threadState(e.tid);
+    if (self & kJoined) {
+        return fail(
+            strFormat("thread %d acts after being joined", e.tid));
+    }
+    self |= kStarted;
+
+    switch (e.op) {
+      case OpType::Read:
+      case OpType::Write:
+        if (e.var() < 0) {
+            return fail(
+                strFormat("variable id %d out of range", e.var()));
+        }
+        return true;
+      case OpType::Acquire:
+      case OpType::Release: {
+        if (e.lock() < 0) {
+            return fail(
+                strFormat("lock id %d out of range", e.lock()));
+        }
+        Tid &h = holder(e.lock());
+        if (e.op == OpType::Acquire) {
             if (h != kNoTid) {
-                return ValidationResult::failure(
-                    i, strFormat("lock %d acquired while held by "
-                                 "thread %d", e.lock(), h));
+                return fail(strFormat("lock %d acquired while held "
+                                      "by thread %d",
+                                      e.lock(), h));
             }
             h = e.tid;
-            break;
-          }
-          case OpType::Release: {
-            if (e.lock() < 0 || e.lock() >= numLocks_) {
-                return ValidationResult::failure(
-                    i, strFormat("lock id %d out of range", e.lock()));
-            }
-            Tid &h = holder[static_cast<std::size_t>(e.lock())];
+        } else {
             if (h != e.tid) {
-                return ValidationResult::failure(
-                    i, strFormat("lock %d released by thread %d but "
-                                 "held by %d", e.lock(), e.tid, h));
+                return fail(strFormat("lock %d released by thread "
+                                      "%d but held by %d",
+                                      e.lock(), e.tid, h));
             }
             h = kNoTid;
-            break;
-          }
-          case OpType::Fork: {
-            const Tid child = e.targetTid();
-            if (child < 0 || child >= numThreads_) {
-                return ValidationResult::failure(
-                    i, strFormat("fork target %d out of range",
-                                 child));
-            }
-            if (child == e.tid) {
-                return ValidationResult::failure(
-                    i, "thread forks itself");
-            }
-            if (started[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("fork target %d already has events",
-                                 child));
-            }
-            if (forked[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("thread %d forked twice", child));
-            }
-            if (created[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("fork target %d is lifecycle-managed",
-                                 child));
-            }
-            forked[static_cast<std::size_t>(child)] = true;
-            break;
-          }
-          case OpType::Join: {
-            const Tid child = e.targetTid();
-            if (child < 0 || child >= numThreads_) {
-                return ValidationResult::failure(
-                    i, strFormat("join target %d out of range",
-                                 child));
-            }
-            if (child == e.tid) {
-                return ValidationResult::failure(
-                    i, "thread joins itself");
-            }
-            if (joined[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("thread %d joined twice", child));
-            }
-            joined[static_cast<std::size_t>(child)] = true;
-            break;
-          }
-          case OpType::ThreadCreate: {
-            const Tid child = e.targetTid();
-            if (child < 0 || child >= numThreads_) {
-                return ValidationResult::failure(
-                    i, strFormat("tcreate target %d out of range",
-                                 child));
-            }
-            if (child == e.tid) {
-                return ValidationResult::failure(
-                    i, "thread tcreates itself");
-            }
-            if (started[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("tcreate target %d already has "
-                                 "events", child));
-            }
-            if (forked[static_cast<std::size_t>(child)] ||
-                created[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("thread %d created twice", child));
-            }
-            created[static_cast<std::size_t>(child)] = true;
-            break;
-          }
-          case OpType::ThreadJoin: {
-            const Tid child = e.targetTid();
-            if (child < 0 || child >= numThreads_) {
-                return ValidationResult::failure(
-                    i, strFormat("tjoin target %d out of range",
-                                 child));
-            }
-            if (child == e.tid) {
-                return ValidationResult::failure(
-                    i, "thread tjoins itself");
-            }
-            if (!created[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("tjoin of thread %d without tcreate",
-                                 child));
-            }
-            if (joined[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("thread %d joined twice", child));
-            }
-            joined[static_cast<std::size_t>(child)] = true;
-            break;
-          }
-          case OpType::ThreadRetire: {
-            const Tid child = e.targetTid();
-            if (child < 0 || child >= numThreads_) {
-                return ValidationResult::failure(
-                    i, strFormat("tretire target %d out of range",
-                                 child));
-            }
-            if (!created[static_cast<std::size_t>(child)] ||
-                !joined[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("tretire of thread %d without tjoin",
-                                 child));
-            }
-            if (retired[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("thread %d retired twice", child));
-            }
-            retired[static_cast<std::size_t>(child)] = true;
-            break;
-          }
         }
+        return true;
+      }
+      default:
+        break;
     }
-    return {};
+
+    // Thread operations: fork, join, tcreate, tjoin, tretire. A
+    // lifecycle-managed thread (tcreate -> tjoin -> tretire) is
+    // disjoint from fork targets, and tjoin sets kJoined so "acts
+    // after being joined" covers it.
+    const Tid child = e.targetTid();
+    if (child < 0) {
+        return fail(strFormat("%s target %d out of range",
+                              opName(e.op), child));
+    }
+    if (child == e.tid && e.op != OpType::ThreadRetire)
+        return fail(strFormat("thread %ss itself", opName(e.op)));
+    std::uint8_t &target = threadState(child);
+    switch (e.op) {
+      case OpType::Fork:
+      case OpType::ThreadCreate:
+        if (target & kStarted) {
+            return fail(strFormat("%s target %d already has events",
+                                  opName(e.op), child));
+        }
+        if (e.op == OpType::ThreadCreate) {
+            if (target & (kForked | kCreated)) {
+                return fail(
+                    strFormat("thread %d created twice", child));
+            }
+            // A joined id has finished; creating it later would
+            // start a thread the join already claimed.
+            if (target & kJoined) {
+                return fail(strFormat(
+                    "tcreate target %d already joined", child));
+            }
+            target |= kCreated;
+            return true;
+        }
+        if (target & kForked)
+            return fail(strFormat("thread %d forked twice", child));
+        if (target & kCreated) {
+            return fail(strFormat(
+                "fork target %d is lifecycle-managed", child));
+        }
+        target |= kForked;
+        return true;
+      case OpType::ThreadJoin:
+      case OpType::Join:
+        if (e.op == OpType::ThreadJoin && !(target & kCreated)) {
+            return fail(strFormat(
+                "tjoin of thread %d without tcreate", child));
+        }
+        if (target & kJoined)
+            return fail(strFormat("thread %d joined twice", child));
+        target |= e.op == OpType::ThreadJoin ? kJoined | kTJoined
+                                             : kJoined;
+        return true;
+      case OpType::ThreadRetire:
+        // Only a tjoin ends a lifecycle; a plain join of a
+        // tcreated thread does not make it retirable.
+        if (!(target & kTJoined)) {
+            return fail(strFormat(
+                "tretire of thread %d without tjoin", child));
+        }
+        if (target & kRetired)
+            return fail(strFormat("thread %d retired twice", child));
+        target |= kRetired;
+        return true;
+      default:
+        return true;
+    }
 }
 
 std::vector<Clk>

@@ -103,12 +103,7 @@ class Trace
     /** Reserve storage for n events. */
     void reserve(std::size_t n) { events_.reserve(n); }
 
-    /**
-     * Check well-formedness: ids dense and in range; lock semantics
-     * (acquire only free locks, release only held locks, by the
-     * holder); fork targets have no earlier events and are forked at
-     * most once; join targets have no later events.
-     */
+    /** Check well-formedness: a TraceValidator over every event. */
     ValidationResult validate() const;
 
     /**
@@ -124,6 +119,50 @@ class Trace
     LockId numLocks_ = 0;
     VarId numVars_ = 0;
     bool hasLifecycle_ = false;
+};
+
+/**
+ * Incremental well-formedness check over an event stream: feed the
+ * events in trace order and the first violation sticks. The rules:
+ * ids non-negative; lock semantics (acquire only free locks,
+ * release only held locks, by the holder); fork and tcreate targets
+ * have no earlier events and start at most once; join targets have
+ * no later events; tjoin needs a tcreate and tretire a tjoin.
+ *
+ * Memory is O(largest thread and lock id seen), grown on demand —
+ * never sized from a header's declared counts — so the same check
+ * runs over a materialized Trace (Trace::validate) and over an
+ * out-of-core stream (makeValidatingSource).
+ */
+class TraceValidator
+{
+  public:
+    /** Check @p n events that follow everything added so far.
+     * Returns how many passed: @p n, or the offset of the first
+     * violation (then ok() is false and nothing more is checked). */
+    std::size_t add(const Event *events, std::size_t n);
+    bool add(const Event &e) { return add(&e, 1) == 1; }
+
+    bool ok() const { return result_.ok; }
+    /** The first violation (eventIndex counts from the first event
+     * added), or an ok result. */
+    const ValidationResult &result() const { return result_; }
+
+    /** Forget every event added so far (a rewound stream). */
+    void reset();
+
+  private:
+    bool check(const Event &e);
+    bool fail(std::string message);
+    std::uint8_t &threadState(Tid t);
+    Tid &holder(LockId l);
+
+    /** Per-thread bit set (kStarted, kForked, ... in trace.cc). */
+    std::vector<std::uint8_t> threads_;
+    /** Holder of each lock; kNoTid when free. */
+    std::vector<Tid> holders_;
+    std::uint64_t index_ = 0;
+    ValidationResult result_;
 };
 
 } // namespace tc

@@ -101,7 +101,24 @@ TEST_F(CliDiagnostics, UsageErrorsExitOne)
     // checkpointing without a directory is a usage error, not a
     // late runtime failure.
     EXPECT_EQ(runCli("./race_detector --trace=" + goodPath() +
-                     " --stream --checkpoint-every=100"),
+                     " --checkpoint-every=100"),
+              1);
+    // Negative counts are typos, not requests: no silent cast to
+    // "keep everything" or clamp to 0.
+    for (const char *flag :
+         {"--max-reports=-1", "--checkpoint-every=-5",
+          "--keep-snapshots=-1"}) {
+        EXPECT_EQ(runCli("./race_detector --trace=" + goodPath() +
+                         " --snapshot-dir=" + kWorkDir + " " + flag),
+                  1)
+            << flag;
+    }
+    // The retired input switches are unknown flags now.
+    EXPECT_EQ(runCli("./race_detector --trace=" + goodPath() +
+                     " --stream"),
+              1);
+    EXPECT_EQ(runCli("./race_detector --trace=" + goodPath() +
+                     " --readers=2"),
               1);
     // Both CLIs validate the failpoint spec before doing any work.
     EXPECT_EQ(runCli("TC_FAILPOINTS='bad spec' ./race_detector "
@@ -129,7 +146,7 @@ TEST_F(CliDiagnostics, MissingInputsExitFourFromBothTools)
         std::string(kWorkDir) + "/no_such_file.tcb";
     EXPECT_EQ(runCli("./race_detector --trace=" + missing), 4);
     EXPECT_EQ(runCli("./race_detector --trace=" + missing +
-                     " --stream"),
+                     " --prefetch"),
               4);
     EXPECT_EQ(runCli("./trace_tool stats " + missing), 4);
     EXPECT_EQ(runCli("./trace_tool validate " + missing), 4);
@@ -141,9 +158,9 @@ TEST_F(CliDiagnostics, CorruptInputsExitThreeFromBothTools)
          {corruptPath(), truncatedPath()}) {
         EXPECT_EQ(runCli("./race_detector --trace=" + path), 3)
             << path;
-        EXPECT_EQ(
-            runCli("./race_detector --trace=" + path + " --stream"),
-            3)
+        EXPECT_EQ(runCli("./race_detector --trace=" + path +
+                         " --prefetch --parallel"),
+                  3)
             << path;
         EXPECT_EQ(runCli("./trace_tool stats " + path), 3) << path;
         EXPECT_EQ(runCli("./trace_tool validate " + path), 3)
@@ -163,7 +180,7 @@ TEST_F(CliDiagnostics, InjectedIoErrorsExitFourFromBothTools)
     // whichever CLI consumed the stream.
     EXPECT_EQ(runCli("TC_FAILPOINTS='source.next=eio@100' "
                      "./race_detector --trace=" +
-                     goodPath() + " --stream"),
+                     goodPath()),
               4);
     EXPECT_EQ(runCli("TC_FAILPOINTS='shard.append=eio@100' "
                      "./trace_tool split " +

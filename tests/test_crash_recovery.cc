@@ -126,13 +126,13 @@ class CrashRecovery : public ::testing::Test
         return std::string(kWorkDir) + "/snaps";
     }
 
-    /** The common detector invocation (streaming, full clock
-     * matrix over HB and SHB). */
+    /** The common detector invocation (full clock matrix over HB
+     * and SHB). */
     static std::string
     detector()
     {
         return "./race_detector --trace=" + tracePath() +
-               " --stream --po=hb,shb --clock=tc,vc";
+               " --po=hb,shb --clock=tc,vc";
     }
 
     static std::string

@@ -9,8 +9,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "gen/generator_source.hh"
 #include "gen/random_trace.hh"
@@ -279,6 +281,99 @@ TEST(TraceSourceView, InfoAndIteration)
     EXPECT_TRUE(si.eventCountKnown());
     EXPECT_EQ(si.events, 2u);
     expectSameEvents(t, source);
+}
+
+/** Valid for 300 events, then lock 1 acquired while held. */
+Trace
+heldLockTrace()
+{
+    Trace t;
+    t.acquire(0, 1);
+    for (int i = 0; i < 299; i++)
+        t.write(1 + i % 3, i % 7);
+    t.acquire(2, 1); // event 300
+    t.release(2, 1);
+    return t;
+}
+
+TEST(ValidatingSource, ValidStreamPassesThroughUnchanged)
+{
+    const Trace trace = sampleTrace();
+    auto source =
+        makeValidatingSource(std::make_unique<TraceSource>(trace));
+    expectSameEvents(trace, *source);
+    ASSERT_TRUE(source->rewind());
+    std::vector<Event> storage;
+    std::size_t seen = 0;
+    EventWindow w;
+    while (!(w = source->readWindow(storage, 64)).empty())
+        seen += w.size;
+    EXPECT_EQ(seen, trace.size());
+    EXPECT_FALSE(source->failed());
+}
+
+TEST(ValidatingSource, ViolationWithholdsItsWindow)
+{
+    const Trace trace = heldLockTrace();
+    const ValidationResult v = trace.validate();
+    ASSERT_FALSE(v.ok);
+    const std::string expected =
+        "malformed trace at event 300: " + v.message;
+    auto source =
+        makeValidatingSource(std::make_unique<TraceSource>(trace));
+    std::vector<Event> storage;
+    std::size_t delivered = 0;
+    EventWindow w;
+    while (!(w = source->readWindow(storage, 64)).empty())
+        delivered += w.size;
+    // Windows [0,64) ... [256,320): the one holding event 300 is
+    // withheld entirely.
+    EXPECT_EQ(delivered, 256u);
+    ASSERT_TRUE(source->failed());
+    EXPECT_EQ(source->errorKind(), SourceErrorKind::Invalid);
+    EXPECT_EQ(source->error(), expected);
+    EXPECT_EQ(source->errorLine(), 0u);
+    EXPECT_TRUE(source->readWindow(storage, 64).empty());
+
+    // Event by event: everything before the violation arrives.
+    ASSERT_TRUE(source->rewind());
+    EXPECT_FALSE(source->failed());
+    Event e;
+    std::size_t n = 0;
+    while (source->next(e))
+        n++;
+    EXPECT_EQ(n, 300u);
+    EXPECT_EQ(source->error(), expected);
+}
+
+TEST(ValidatingSource, SeekRevalidatesTheSkippedPrefix)
+{
+    const Trace trace = heldLockTrace();
+    auto source =
+        makeValidatingSource(std::make_unique<TraceSource>(trace));
+    // The lock acquired at event 0 is still known to be held when
+    // the stream resumes at 200.
+    ASSERT_TRUE(source->seekToSequence(200));
+    Event e;
+    std::size_t n = 0;
+    while (source->next(e))
+        n++;
+    EXPECT_EQ(n, 100u);
+    EXPECT_EQ(source->errorKind(), SourceErrorKind::Invalid);
+    EXPECT_NE(source->error().find("at event 300:"),
+              std::string::npos)
+        << source->error();
+    // A seek past the violation fails on the way there.
+    EXPECT_FALSE(source->seekToSequence(301));
+    EXPECT_EQ(source->errorKind(), SourceErrorKind::Invalid);
+}
+
+TEST(ValidatingSource, InnerErrorsKeepTheirKind)
+{
+    auto missing = makeValidatingSource(
+        openTraceFile("/tmp/definitely_missing_validating.tcb"));
+    ASSERT_TRUE(missing->failed());
+    EXPECT_EQ(missing->errorKind(), SourceErrorKind::Io);
 }
 
 } // namespace

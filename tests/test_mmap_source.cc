@@ -109,9 +109,9 @@ expectIoParity(const std::string &path, std::size_t window,
                const std::string &label,
                std::size_t mergeWorkers = 0)
 {
-    auto mm = openTraceFile(path, window, 0, mergeWorkers,
+    auto mm = openTraceFile(path, window, mergeWorkers,
                             IoMode::Mmap);
-    auto st = openTraceFile(path, window, 0, mergeWorkers,
+    auto st = openTraceFile(path, window, mergeWorkers,
                             IoMode::Stream);
     expectSameDrain(drainAll(*mm), drainAll(*st), label);
 }
@@ -201,9 +201,9 @@ TEST_F(MmapSource, BinaryDifferentialV1)
     }
     // Auto on a regular file takes the mapped path and must still
     // match the explicit stream request.
-    auto mm = openTraceFile(p, kDefaultSourceWindow, 0, 0,
+    auto mm = openTraceFile(p, kDefaultSourceWindow, 0,
                             IoMode::Auto);
-    auto st = openTraceFile(p, kDefaultSourceWindow, 0, 0,
+    auto st = openTraceFile(p, kDefaultSourceWindow, 0,
                             IoMode::Stream);
     expectSameDrain(drainAll(*mm), drainAll(*st), "v1.tcb auto");
 }
@@ -214,10 +214,10 @@ TEST_F(MmapSource, BinaryDifferentialV2Lifecycle)
     ASSERT_TRUE(t.hasLifecycle());
     const std::string p = path("v2.tcb");
     ASSERT_TRUE(saveTrace(t, p));
-    auto mm = openTraceFile(p, kDefaultSourceWindow, 0, 0,
+    auto mm = openTraceFile(p, kDefaultSourceWindow, 0,
                             IoMode::Mmap);
     EXPECT_TRUE(mm->info().lifecycle);
-    auto st = openTraceFile(p, kDefaultSourceWindow, 0, 0,
+    auto st = openTraceFile(p, kDefaultSourceWindow, 0,
                             IoMode::Stream);
     expectSameDrain(drainAll(*mm), drainAll(*st), "v2.tcb");
 }
@@ -238,7 +238,7 @@ TEST_F(MmapSource, RewindParity)
     const Trace t = makeV1Trace(5000);
     const std::string p = path("rewind.tcb");
     ASSERT_TRUE(saveTrace(t, p));
-    auto mm = openTraceFile(p, 64, 0, 0, IoMode::Mmap);
+    auto mm = openTraceFile(p, 64, 0, IoMode::Mmap);
     // Drain a prefix, rewind mid-window, then the full drain must
     // match the trace exactly.
     Event e;
@@ -259,8 +259,8 @@ TEST_F(MmapSource, SeekToSequenceParity)
     for (const std::uint64_t n :
          {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2499},
           std::uint64_t{4999}, std::uint64_t{5000}}) {
-        auto mm = openTraceFile(p, 64, 0, 0, IoMode::Mmap);
-        auto st = openTraceFile(p, 64, 0, 0, IoMode::Stream);
+        auto mm = openTraceFile(p, 64, 0, IoMode::Mmap);
+        auto st = openTraceFile(p, 64, 0, IoMode::Stream);
         ASSERT_EQ(mm->seekToSequence(n), st->seekToSequence(n))
             << "seek " << n;
         expectSameDrain(drainAll(*mm), drainAll(*st),
@@ -458,7 +458,7 @@ TEST_F(MmapSource, ArmedFaultInjectionRoutesToStream)
     // at the same event with the same injected error.
     auto run = [&](IoMode io) {
         auto src = makeFaultInjectingSource(
-            openTraceFile(p, 64, 0, 0, io));
+            openTraceFile(p, 64, 0, io));
         return drainAll(*src);
     };
     const DrainResult mm = run(IoMode::Mmap);
@@ -489,13 +489,14 @@ TEST_F(MmapSource, CliFaultAndIoFlagParity)
     EXPECT_EQ(mm, autoMode);
 
     // Injected I/O faults exit identically whatever --io says
-    // (--stream routes the CLI through the source.next decorator).
+    // (armed failpoints route the CLI through the source.next
+    // decorator).
     const std::string arm = "TC_FAILPOINTS='source.next=eio@100' ";
     const int mmFault =
-        runCli(arm + "./race_detector --stream --trace=" + p +
+        runCli(arm + "./race_detector --trace=" + p +
                " --io=mmap");
     const int stFault =
-        runCli(arm + "./race_detector --stream --trace=" + p +
+        runCli(arm + "./race_detector --trace=" + p +
                " --io=stream");
     EXPECT_EQ(mmFault, stFault);
     EXPECT_EQ(mmFault, kExitIo);
@@ -503,10 +504,10 @@ TEST_F(MmapSource, CliFaultAndIoFlagParity)
     // Injected crashes too (the deterministic _Exit(77)).
     const std::string crash =
         "TC_FAILPOINTS='source.next=crash@100' ";
-    EXPECT_EQ(runCli(crash + "./race_detector --stream --trace=" +
+    EXPECT_EQ(runCli(crash + "./race_detector --trace=" +
                      p + " --io=mmap"),
               kFaultCrashExitCode);
-    EXPECT_EQ(runCli(crash + "./race_detector --stream --trace=" +
+    EXPECT_EQ(runCli(crash + "./race_detector --trace=" +
                      p + " --io=stream"),
               kFaultCrashExitCode);
 

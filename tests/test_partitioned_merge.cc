@@ -363,20 +363,52 @@ TEST(PartitionedMerge, OpenShardMemberRoutesMergeWorkers)
     const std::string prefix = "/tmp/tc_pmrg_member";
     split(trace, prefix, 3);
     auto member = openShardMember(shardPath(prefix, 1),
-                                  kDefaultSourceWindow, 0, 2);
+                                  kDefaultSourceWindow, 2);
     ASSERT_FALSE(member->failed()) << member->error();
     expectSameEvents(trace, *member, "via member");
-    // --merge-workers subsumes --readers when both are given.
-    auto both = openShardMember(shardPath(prefix, 0), 128, 4, 2);
-    expectSameEvents(trace, *both, "merge workers over readers");
     // The prefetch decorator composes: range workers decode and
     // merge, the prefetch thread moves the stitching off the
     // consuming thread.
     auto stacked = makePrefetchSource(
-        openTraceFile(shardPath(prefix, 0), 128, 0, 2), 128);
+        openTraceFile(shardPath(prefix, 0), 128, 2), 128);
     ASSERT_FALSE(stacked->failed()) << stacked->error();
     expectSameEvents(trace, *stacked, "prefetch over partition");
     removeShards(prefix, 3);
+}
+
+TEST(PartitionedMerge, StaleMemberRejectedWithMergeWorkers)
+{
+    const Trace trace = sampleTrace(600, 85);
+    const std::string prefix = "/tmp/tc_pmrg_stale";
+    split(trace, prefix, 3);
+    split(trace, prefix, 2);
+    auto by_stale =
+        openTraceFile(shardPath(prefix, 2), kDefaultSourceWindow, 2);
+    EXPECT_TRUE(by_stale->failed());
+    EXPECT_NE(by_stale->error().find("stale"), std::string::npos)
+        << by_stale->error();
+    removeShards(prefix, 3);
+}
+
+TEST(PartitionedMerge, MergeStrategiesDeliverIdenticalStreams)
+{
+    // The sequential merge's loser tree vs the linear scan it
+    // replaced, including a K=64 set (deeper tournament than any
+    // capture-sized test hits).
+    const Trace trace = sampleTrace(5000, 23);
+    const std::string prefix = "/tmp/tc_pmrg_strat";
+    for (const std::uint32_t shards : {1u, 2u, 7u, 64u}) {
+        split(trace, prefix, shards);
+        auto tree = openShardSet(prefix, 128,
+                                 MergeStrategy::LoserTree);
+        auto scan = openShardSet(prefix, 128,
+                                 MergeStrategy::LinearScan);
+        expectSameEvents(trace, *tree,
+                         "tree k=" + std::to_string(shards));
+        expectSameEvents(trace, *scan,
+                         "scan k=" + std::to_string(shards));
+        removeShards(prefix, shards);
+    }
 }
 
 TEST(PartitionedMerge, UnfinalizedCaptureRejectedAtConstruction)

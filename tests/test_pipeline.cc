@@ -157,10 +157,11 @@ TEST_P(PipelineSweep, FullStackShardedPrefetchedFanOut)
 
 TEST_P(PipelineSweep, FullParallelStackDecodeReordersFanOut)
 {
-    // The PR-5 production stack end to end: concurrent capture →
-    // parallel shard decode (2 readers, out-of-order arrival,
-    // in-order reorder) → prefetch hand-off → parallel 6-analysis
-    // fan-out. Results must equal six dedicated batch runs.
+    // The production stack end to end: concurrent capture →
+    // range-partitioned shard merge (2 merge workers decoding and
+    // merging their own sequence ranges) → prefetch hand-off →
+    // parallel 6-analysis fan-out. Results must equal six
+    // dedicated batch runs.
     const std::string prefix =
         "/tmp/tc_pipeline_stack_" + GetParam().label;
     {
@@ -170,7 +171,7 @@ TEST_P(PipelineSweep, FullParallelStackDecodeReordersFanOut)
             << error;
     }
     auto source = makePrefetchSource(
-        openShardSetParallel(prefix, 2, 64), 64);
+        openShardSetPartitioned(prefix, 2, 64), 64);
     ASSERT_FALSE(source->failed()) << source->error();
     AnalysisPipeline pipeline = fullPipeline();
     ParallelOptions opt;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "trace/trace.hh"
 
 namespace tc {
@@ -183,6 +185,94 @@ TEST(TraceValidate, EmptyTraceIsValid)
 {
     Trace t;
     EXPECT_TRUE(t.validate().ok);
+}
+
+TEST(TraceValidate, RejectsTcreateOfJoinedThread)
+{
+    // The join claims thread 2; creating it afterwards would start
+    // a thread that has already finished.
+    Trace t;
+    t.join(1, 2);
+    t.tcreate(0, 2);
+    const auto v = t.validate();
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.eventIndex, 1u);
+    EXPECT_EQ(v.message, "tcreate target 2 already joined");
+}
+
+TEST(TraceValidate, RejectsTretireAfterPlainJoin)
+{
+    // Only a tjoin ends a lifecycle.
+    Trace t;
+    t.tcreate(0, 1);
+    t.join(0, 1);
+    t.tretire(0, 1);
+    const auto v = t.validate();
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.eventIndex, 2u);
+    EXPECT_EQ(v.message, "tretire of thread 1 without tjoin");
+}
+
+TEST(TraceValidator, WindowedAddMatchesTraceValidate)
+{
+    // Same first violation however the stream is cut into windows;
+    // add() reports the offset of the violation within its window.
+    Trace t;
+    t.tcreate(0, 1);
+    for (int i = 0; i < 20; i++)
+        t.write(1 + i % 2 * 2, i);
+    t.tjoin(0, 1);
+    t.write(1, 0); // event 22: acts after being joined
+    t.write(0, 0);
+    const ValidationResult whole = t.validate();
+    ASSERT_FALSE(whole.ok);
+    ASSERT_EQ(whole.eventIndex, 22u);
+    for (std::size_t window = 1; window <= t.size(); window++) {
+        TraceValidator validator;
+        std::size_t at = 0;
+        while (at < t.size() && validator.ok()) {
+            const std::size_t n = std::min(window, t.size() - at);
+            const std::size_t passed = validator.add(&t[at], n);
+            if (passed < n) {
+                EXPECT_EQ(at + passed, whole.eventIndex);
+                break;
+            }
+            at += n;
+        }
+        EXPECT_FALSE(validator.ok()) << "window " << window;
+        EXPECT_EQ(validator.result().eventIndex, whole.eventIndex);
+        EXPECT_EQ(validator.result().message, whole.message);
+        // Sticky: nothing more is checked after a violation.
+        EXPECT_EQ(validator.add(Event(0, OpType::Write, 0)), false);
+        EXPECT_EQ(validator.result().eventIndex, whole.eventIndex);
+    }
+}
+
+TEST(TraceValidator, ResetForgetsState)
+{
+    TraceValidator validator;
+    EXPECT_TRUE(validator.add(Event(0, OpType::Acquire, 3)));
+    EXPECT_FALSE(validator.add(Event(1, OpType::Acquire, 3)));
+    validator.reset();
+    EXPECT_TRUE(validator.ok());
+    EXPECT_TRUE(validator.add(Event(1, OpType::Acquire, 3)));
+}
+
+TEST(TraceValidator, NegativeIdsAreOutOfRange)
+{
+    // Hand-built events only: the decoders reject these before a
+    // validator sees them.
+    TraceValidator validator;
+    EXPECT_FALSE(validator.add(Event(0, OpType::Write, ~0u)));
+    EXPECT_EQ(validator.result().message,
+              "variable id -1 out of range");
+    validator.reset();
+    EXPECT_FALSE(validator.add(Event(0, OpType::Join, ~0u)));
+    EXPECT_EQ(validator.result().message,
+              "join target -1 out of range");
+    validator.reset();
+    EXPECT_FALSE(validator.add(Event(-3, OpType::Read, 0)));
+    EXPECT_EQ(validator.result().message, "thread id -3 out of range");
 }
 
 } // namespace
