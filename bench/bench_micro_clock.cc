@@ -8,9 +8,10 @@
  *
  * Every benchmark reports a heap_allocs counter — allocations (via
  * the alloc_hook.cc global operator new) performed inside the
- * measured loop. The steady-state join/copy benchmarks must report
- * 0: the clock hot paths reuse their scratch and never allocate
- * once warmed. Pass --json <path> for a machine-readable report
+ * measured loop (per copy for BM_FirstCopy, whose loop creates a
+ * clock). The steady-state join/copy benchmarks must report 0: the
+ * clock hot paths reuse their scratch and never allocate once
+ * warmed. Pass --json <path> for a machine-readable report
  * (BENCH_baseline.json is generated this way).
  */
 
@@ -207,6 +208,31 @@ BM_StaleMonotoneCopy(benchmark::State &state)
     setAllocCounter(state, allocs);
 }
 
+/**
+ * First monotone copy into an empty auxiliary clock: how MAZ
+ * creates each read clock R_{t,x} and last-write clock LW_x. The
+ * target is built and dropped inside the loop, so the copy pays for
+ * its own storage. heap_allocs is reported per copy here, so it
+ * stays deterministic: what one creation costs (a vector clock pays
+ * 1, and a tree clock must not pay more).
+ */
+template <typename ClockT>
+void
+BM_FirstCopy(benchmark::State &state)
+{
+    const Tid k = static_cast<Tid>(state.range(0));
+    const ClockT source = makeClockPair<ClockT>(k, k / 4).second;
+    const std::uint64_t allocs = bench::heapAllocCount();
+    for (auto _ : state) {
+        ClockT fresh;
+        fresh.monotoneCopy(source);
+        benchmark::DoNotOptimize(fresh.get(1));
+    }
+    state.counters["heap_allocs"] = benchmark::Counter(
+        static_cast<double>(bench::heapAllocCount() - allocs),
+        benchmark::Counter::kAvgIterations);
+}
+
 #define TC_BENCH_RANGE RangeMultiplier(4)->Range(8, 2048)
 
 BENCHMARK_TEMPLATE(BM_Get, VectorClock)->TC_BENCH_RANGE;
@@ -223,6 +249,8 @@ BENCHMARK_TEMPLATE(BM_StaleMonotoneCopy, VectorClock)
     ->TC_BENCH_RANGE->UseManualTime();
 BENCHMARK_TEMPLATE(BM_StaleMonotoneCopy, TreeClock)
     ->TC_BENCH_RANGE->UseManualTime();
+BENCHMARK_TEMPLATE(BM_FirstCopy, VectorClock)->TC_BENCH_RANGE;
+BENCHMARK_TEMPLATE(BM_FirstCopy, TreeClock)->TC_BENCH_RANGE;
 
 /** Mirrors every finished run into the shared JsonReporter while
  * keeping the familiar console table. */

@@ -13,7 +13,9 @@ exceed the baseline's. The steady-state join/copy benchmarks
 BM_StaleMonotoneCopy) are
 additionally required to stay at exactly 0 allocations — a warmed
 clock hot path must never touch the heap, whatever the baseline
-says.
+says. BM_FirstCopy (heap_allocs per copy into a fresh clock) is
+held to a same-run comparison: at every width, the tree clock may
+not allocate more per first copy than the vector clock.
 
 Timing metrics are deliberately ignored: allocation counts are
 deterministic, wall times are not.
@@ -21,6 +23,9 @@ deterministic, wall times are not.
 
 import json
 import sys
+
+FIRST_COPY = "BM_FirstCopy"
+TREE, FLAT = "<TreeClock>", "<VectorClock>"
 
 STEADY_STATE_PREFIXES = (
     "BM_JoinVacuous",
@@ -69,6 +74,18 @@ def main() -> int:
             failures.append(
                 f"{name}: heap_allocs {allocs:.0f} > baseline "
                 f"{base:.0f}")
+
+    for name, allocs in sorted(current.items()):
+        if not name.startswith(FIRST_COPY + TREE):
+            continue
+        flat = current.get(name.replace(TREE, FLAT))
+        if flat is None:
+            failures.append(f"{name}: no {FIRST_COPY}{FLAT} run at "
+                            f"the same width to compare against")
+        elif allocs > flat:
+            failures.append(
+                f"{name}: {allocs:g} heap allocations per first copy "
+                f"> vector clock's {flat:g}")
 
     if failures:
         print("allocation regressions detected:")

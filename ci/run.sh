@@ -95,9 +95,11 @@ TC_TEST_DEPTH="${TC_CRASH_DEPTH:-3}" ctest \
 
 # Job 5 — bench smoke. Two gates against BENCH_baseline.json:
 #  * allocations (exact): the steady-state join/copy
-#    micro-benchmarks must stay allocation-free and no benchmark
+#    micro-benchmarks must stay allocation-free, no benchmark
 #    may allocate more than the baseline (counts are
-#    deterministic);
+#    deterministic), and a tree clock's first copy into a fresh
+#    clock (BM_FirstCopy) may not allocate more than a vector
+#    clock's;
 #  * throughput (25% tolerance): bench_streaming events/s — the
 #    streaming modes, the fan-out cross product and the K=64 merge
 #    drains (sequential
@@ -119,7 +121,7 @@ echo "=== bench smoke (alloc + throughput regressions) ==="
     --reps=2 --json=/tmp/tc-bench-streaming.json > /dev/null
 if [[ -x build-ci-werror/bench_micro_clock ]]; then
     ./build-ci-werror/bench_micro_clock \
-        --benchmark_filter='BM_JoinVacuous|BM_SyncRoundTrip|BM_MonotoneCopy|BM_StaleMonotoneCopy' \
+        --benchmark_filter='BM_JoinVacuous|BM_SyncRoundTrip|BM_MonotoneCopy|BM_StaleMonotoneCopy|BM_FirstCopy' \
         --json /tmp/tc-bench-micro.json > /dev/null
     python3 ci/merge_bench_json.py /tmp/tc-bench-ci.json \
         bench_micro_clock=/tmp/tc-bench-micro.json \

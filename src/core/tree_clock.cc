@@ -13,38 +13,45 @@ TreeClock::TreeClock(Tid owner, std::size_t capacity)
     ensure(std::max<std::size_t>(capacity,
                                  static_cast<std::size_t>(owner) + 1));
     root_ = owner;
-    parent_[static_cast<std::size_t>(owner)] = kNoTid;
+    links(kParent)[static_cast<std::size_t>(owner)] = kNoTid;
 }
 
 void
-TreeClock::ensure(std::size_t n)
+TreeClock::clearSlots(std::size_t from, std::size_t to)
 {
-    if (clk_.size() < n) {
-        clk_.resize(n, 0);
-        aclk_.resize(n, 0);
-        parent_.resize(n, kAbsent);
-        firstChild_.resize(n, kNoTid);
-        nextSib_.resize(n, kNoTid);
-        prevSib_.resize(n, kNoTid);
-        updateAccounting();
+    for (std::size_t f = 0; f < kFields; f++) {
+        Clk *s = seg(static_cast<Field>(f));
+        std::fill(s + from, s + to, static_cast<Clk>(kFieldDefault[f]));
     }
+}
+
+void
+TreeClock::grow(std::size_t n)
+{
+    // Each old segment moves to its new offset and the new slots
+    // read as absent.
+    const std::size_t old = size();
+    const std::size_t stride = strideFor(n);
+    std::vector<Clk> grown(kFields * stride);
+    for (std::size_t f = 0; f < kFields; f++)
+        std::copy_n(seg(static_cast<Field>(f)), old,
+                    grown.data() + f * stride);
+    block_.swap(grown);
+    width_ = Width(n);
+    clearSlots(old, n);
+    updateAccounting();
 }
 
 void
 TreeClock::resetToRoot(Tid owner, Clk start)
 {
     TC_CHECK(owner >= 0, "thread clock owner must be a valid tid");
-    std::fill(clk_.begin(), clk_.end(), 0);
-    std::fill(aclk_.begin(), aclk_.end(), 0);
-    std::fill(parent_.begin(), parent_.end(), kAbsent);
-    std::fill(firstChild_.begin(), firstChild_.end(), kNoTid);
-    std::fill(nextSib_.begin(), nextSib_.end(), kNoTid);
-    std::fill(prevSib_.begin(), prevSib_.end(), kNoTid);
+    clearSlots(0, size());
     ensure(static_cast<std::size_t>(owner) + 1);
     root_ = owner;
     const auto o = static_cast<std::size_t>(owner);
-    parent_[o] = kNoTid;
-    clk_[o] = start;
+    links(kParent)[o] = kNoTid;
+    seg(kClk)[o] = start;
 }
 
 void
@@ -52,7 +59,7 @@ TreeClock::increment(Clk delta)
 {
     TC_CHECK(root_ != kNoTid,
              "increment() requires an initialized thread clock");
-    clk_[static_cast<std::size_t>(root_)] += delta;
+    seg(kClk)[static_cast<std::size_t>(root_)] += delta;
     if (counters_) {
         counters_->increments++;
         counters_->vtWork++;
@@ -63,8 +70,8 @@ TreeClock::increment(Clk delta)
 bool
 TreeClock::lessThanOrEqualExact(const TreeClock &other) const
 {
-    for (std::size_t i = 0; i < clk_.size(); i++) {
-        if (clk_[i] > other.rawGet(static_cast<Tid>(i)))
+    for (std::size_t i = 0; i < size(); i++) {
+        if (seg(kClk)[i] > other.rawGet(static_cast<Tid>(i)))
             return false;
     }
     return true;
@@ -75,28 +82,28 @@ TreeClock::pushChild(Tid child, Tid parent)
 {
     const auto c = static_cast<std::size_t>(child);
     const auto p = static_cast<std::size_t>(parent);
-    parent_[c] = parent;
-    prevSib_[c] = kNoTid;
-    const Tid head = firstChild_[p];
-    nextSib_[c] = head;
+    links(kParent)[c] = parent;
+    links(kPrevSib)[c] = kNoTid;
+    const Tid head = links(kFirstChild)[p];
+    links(kNextSib)[c] = head;
     if (head != kNoTid)
-        prevSib_[static_cast<std::size_t>(head)] = child;
-    firstChild_[p] = child;
+        links(kPrevSib)[static_cast<std::size_t>(head)] = child;
+    links(kFirstChild)[p] = child;
 }
 
 void
 TreeClock::detachFromParent(Tid t)
 {
     const auto i = static_cast<std::size_t>(t);
-    const Tid prev = prevSib_[i];
-    const Tid next = nextSib_[i];
+    const Tid prev = links(kPrevSib)[i];
+    const Tid next = links(kNextSib)[i];
     if (prev != kNoTid) {
-        nextSib_[static_cast<std::size_t>(prev)] = next;
+        links(kNextSib)[static_cast<std::size_t>(prev)] = next;
     } else {
-        firstChild_[static_cast<std::size_t>(parent_[i])] = next;
+        links(kFirstChild)[static_cast<std::size_t>(links(kParent)[i])] = next;
     }
     if (next != kNoTid)
-        prevSib_[static_cast<std::size_t>(next)] = prev;
+        links(kPrevSib)[static_cast<std::size_t>(next)] = prev;
 }
 
 bool
@@ -110,33 +117,29 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
     // stack. S is filled in pre-order; attachNodes pops it from the
     // back, which attaches later siblings first so the front-insert
     // of pushChild restores the operand's (descending-aclk) child
-    // order. Nodes are unlinked from our tree as they enter S (the
-    // walk itself only reads our flat clk_ array, so the link edits
-    // cannot disturb it).
+    // order. The walk only pushes: it reads our flat clk segment and
+    // never our links, so the nodes of S are unlinked from our tree
+    // after the walk, in walk order — the same edits, in the same
+    // order, as unlinking each node when it enters S. A walk that
+    // stops at @p limit unlinks nothing: the block copy that follows
+    // overwrites every link anyway.
     //
-    // The scan reads exactly four operand arrays — clk (progress
+    // The scan reads exactly five operand segments — clk (progress
     // test), aclk (indirect cut), nextSib/firstChild/parent
-    // (navigation) — each a dense 4-byte stream thanks to the SoA
-    // layout.
+    // (navigation) — each a dense 4-byte stream.
     const bool use_direct = policy_ != JoinPolicy::NoPruning;
     const bool use_indirect = policy_ == JoinPolicy::Full;
 
-    const Clk *oclk = other.clk_.data();
-    const Clk *oaclk = other.aclk_.data();
-    const Tid *oparent = other.parent_.data();
-    const Tid *ofirst = other.firstChild_.data();
-    const Tid *onext = other.nextSib_.data();
-    const Clk *mine = clk_.data();
-    auto enter = [&](Tid t) {
-        if (t != root_ &&
-            parent_[static_cast<std::size_t>(t)] != kAbsent) {
-            detachFromParent(t);
-        }
-        S.push_back(t);
-    };
+    const Clk *oclk = other.seg(kClk);
+    const Clk *oaclk = other.seg(kAclk);
+    const Tid *oparent = other.links(kParent);
+    const Tid *ofirst = other.links(kFirstChild);
+    const Tid *onext = other.links(kNextSib);
+    const Clk *mine = seg(kClk);
+    const Tid *mparent = links(kParent);
 
     const Tid root = other.root_;
-    enter(root);
+    S.push_back(root);
     Tid parent = root;
     Tid cur = ofirst[static_cast<std::size_t>(root)];
     std::uint64_t scans = 0;
@@ -158,7 +161,7 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
             // subtrees (NoPruning descends regardless but still
             // only transplants progressed nodes on joins).
             if (progressed || is_copy)
-                enter(cur);
+                S.push_back(cur);
             if (progressed && ++moved >= limit) {
                 examined += scans;
                 return true;
@@ -191,6 +194,11 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
         cur = onext[c];
     }
     examined += scans;
+    for (const Tid t : S) {
+        if (t != root_ &&
+            mparent[static_cast<std::size_t>(t)] != kAbsent)
+            detachFromParent(t);
+    }
     return false;
 }
 
@@ -200,15 +208,15 @@ TreeClock::attachNodes(const TreeClock &other, std::vector<Tid> &S)
     // Iterate back-to-front: S is in pre-order, so later siblings
     // attach first and pushChild's front insertion restores the
     // operand's child order.
-    const Clk *oclk = other.clk_.data();
-    const Clk *oaclk = other.aclk_.data();
-    const Tid *oparent = other.parent_.data();
-    Clk *mclk = clk_.data();
-    Clk *maclk = aclk_.data();
-    Tid *mparent = parent_.data();
-    Tid *mfirst = firstChild_.data();
-    Tid *mnext = nextSib_.data();
-    Tid *mprev = prevSib_.data();
+    const Clk *oclk = other.seg(kClk);
+    const Clk *oaclk = other.seg(kAclk);
+    const Tid *oparent = other.links(kParent);
+    Clk *mclk = seg(kClk);
+    Clk *maclk = seg(kAclk);
+    Tid *mparent = links(kParent);
+    Tid *mfirst = links(kFirstChild);
+    Tid *mnext = links(kNextSib);
+    Tid *mprev = links(kPrevSib);
     std::uint64_t changed = 0;
     for (std::size_t idx = S.size(); idx-- > 0;) {
         const auto i = static_cast<std::size_t>(S[idx]);
@@ -246,7 +254,7 @@ TreeClock::join(const TreeClock &other)
              "join() requires an initialized thread clock");
 
     const Clk other_root_clk =
-        other.clk_[static_cast<std::size_t>(other.root_)];
+        other.seg(kClk)[static_cast<std::size_t>(other.root_)];
     if (rawGet(other.root_) >= other_root_clk) {
         // Root already covered: by direct monotonicity the whole
         // operand is covered (Algorithm 2, line 18).
@@ -258,7 +266,7 @@ TreeClock::join(const TreeClock &other)
     }
     TC_CHECK(other.rawGet(root_) <= localClk(),
              "join operand claims to know this thread's future");
-    ensure(other.clk_.size());
+    ensure(other.size());
 
     // Fast path: only the operand's root thread progressed. Its
     // first child is not ahead of us and was attached no later than
@@ -266,15 +274,15 @@ TreeClock::join(const TreeClock &other)
     // whole remainder is covered; transplant just the root node.
     if (policy_ == JoinPolicy::Full) {
         const auto o = static_cast<std::size_t>(other.root_);
-        const Tid c = other.firstChild_[o];
+        const Tid c = other.links(kFirstChild)[o];
         if (c == kNoTid ||
-            (rawGet(c) >= other.clk_[static_cast<std::size_t>(c)] &&
-             other.aclk_[static_cast<std::size_t>(c)] <=
+            (rawGet(c) >= other.seg(kClk)[static_cast<std::size_t>(c)] &&
+             other.seg(kAclk)[static_cast<std::size_t>(c)] <=
                  rawGet(other.root_))) {
-            if (parent_[o] != kAbsent)
+            if (links(kParent)[o] != kAbsent)
                 detachFromParent(other.root_);
-            clk_[o] = other_root_clk;
-            aclk_[o] = clk_[static_cast<std::size_t>(root_)];
+            seg(kClk)[o] = other_root_clk;
+            seg(kAclk)[o] = seg(kClk)[static_cast<std::size_t>(root_)];
             pushChild(other.root_, root_);
             if (counters_) {
                 // Same accounting as the generic path: root compare
@@ -297,8 +305,8 @@ TreeClock::join(const TreeClock &other)
 
     // Hang the transplanted subtree under our root, stamped with the
     // current root time (Algorithm 2, lines 24-27).
-    aclk_[static_cast<std::size_t>(other.root_)] =
-        clk_[static_cast<std::size_t>(root_)];
+    seg(kAclk)[static_cast<std::size_t>(other.root_)] =
+        seg(kClk)[static_cast<std::size_t>(root_)];
     pushChild(other.root_, root_);
 
     if (counters_) {
@@ -324,7 +332,7 @@ TreeClock::monotoneCopy(const TreeClock &other)
     }
     TC_ASSERT(lessThanOrEqualExact(other),
               "monotoneCopy requires this ⊑ other");
-    ensure(other.clk_.size());
+    ensure(other.size());
 
     // Fast path: same root thread and only its time progressed
     // (the common shape for last-write and read clocks refreshed by
@@ -332,12 +340,12 @@ TreeClock::monotoneCopy(const TreeClock &other)
     // coverage extends to all siblings, so the copy is one store.
     if (policy_ == JoinPolicy::Full && other.root_ == root_) {
         const auto i = static_cast<std::size_t>(root_);
-        const Tid c = other.firstChild_[i];
+        const Tid c = other.links(kFirstChild)[i];
         if (c == kNoTid ||
-            (rawGet(c) >= other.clk_[static_cast<std::size_t>(c)] &&
-             other.aclk_[static_cast<std::size_t>(c)] <= clk_[i])) {
-            const std::uint64_t changed = clk_[i] != other.clk_[i];
-            clk_[i] = other.clk_[i];
+            (rawGet(c) >= other.seg(kClk)[static_cast<std::size_t>(c)] &&
+             other.seg(kAclk)[static_cast<std::size_t>(c)] <= seg(kClk)[i])) {
+            const std::uint64_t changed = seg(kClk)[i] != other.seg(kClk)[i];
+            seg(kClk)[i] = other.seg(kClk)[i];
             if (counters_) {
                 // Same accounting as the generic path: children
                 // examined (0 or 1) + the root transplant.
@@ -355,27 +363,23 @@ TreeClock::monotoneCopy(const TreeClock &other)
     // Bounded walk (see the file comment); the ablation policies
     // keep the pure Algorithm 2 walk.
     const std::size_t limit =
-        policy_ == JoinPolicy::Full ? (other.clk_.size() + 7) / 8
+        policy_ == JoinPolicy::Full ? (other.size() + 7) / 8
                                     : kNoLimit;
     std::uint64_t examined = 0;
-    if (gatherUpdated(other, S, true, root_, examined, limit)) {
-        // deepCopy overwrites every array, so the nodes the walk
-        // already unlinked need no repair.
-        if (counters_)
-            counters_->dsWork += examined;
-        deepCopy(other);
-        return;
-    }
-
-    if (root_ != other.root_ &&
-        std::find(S.begin(), S.end(), root_) == S.end()) {
-        // The traversal never met our old root, so repositioning it
-        // is impossible without breaking reachability. This cannot
-        // happen under the HB/SHB/MAZ usage discipline (Lemma 5);
-        // stay correct for ad-hoc users via the linear path.
-        fallbackCopies_++;
+    const bool limited =
+        gatherUpdated(other, S, true, root_, examined, limit);
+    // A walk that hit the limit unlinked nothing, and the block copy
+    // overwrites the whole tree. A walk that never met our old root
+    // cannot reposition it without breaking reachability; that
+    // cannot happen under the HB/SHB/MAZ usage discipline (Lemma 5),
+    // so ad-hoc users stay correct via the same linear path.
+    const bool lost_root =
+        !limited && root_ != other.root_ &&
+        std::find(S.begin(), S.end(), root_) == S.end();
+    if (limited || lost_root) {
+        fallbackCopies_ += lost_root;
         if (counters_) {
-            counters_->fallbackCopies++;
+            counters_->fallbackCopies += lost_root;
             counters_->dsWork += examined;
         }
         deepCopy(other);
@@ -387,10 +391,10 @@ TreeClock::monotoneCopy(const TreeClock &other)
 
     root_ = other.root_;
     const auto r = static_cast<std::size_t>(root_);
-    parent_[r] = kNoTid;
-    aclk_[r] = 0;
-    nextSib_[r] = kNoTid;
-    prevSib_[r] = kNoTid;
+    links(kParent)[r] = kNoTid;
+    seg(kAclk)[r] = 0;
+    links(kNextSib)[r] = kNoTid;
+    links(kPrevSib)[r] = kNoTid;
 
     if (counters_) {
         counters_->copies++;
@@ -415,43 +419,41 @@ TreeClock::copyCheckMonotone(const TreeClock &other)
 void
 TreeClock::deepCopy(const TreeClock &other)
 {
-    ensure(other.clk_.size());
+    // Entries whose value changes: slots both clocks address, then
+    // the operand's slots past our width and ours past its width
+    // (either side reads 0 beyond its width).
+    const std::size_t n = other.size();
+    const std::size_t k = size();
+    const std::size_t common = std::min(n, k);
+    const Clk *oclk = other.seg(kClk);
+    const Clk *mine = seg(kClk);
     std::uint64_t changed = 0;
-    const std::size_t n = other.clk_.size();
-    for (std::size_t i = 0; i < n; i++) {
-        changed += clk_[i] != other.clk_[i];
-        clk_[i] = other.clk_[i];
+    for (std::size_t i = 0; i < common; i++)
+        changed += mine[i] != oclk[i];
+    for (std::size_t i = common; i < n; i++)
+        changed += oclk[i] != 0;
+    for (std::size_t i = common; i < k; i++)
+        changed += mine[i] != 0;
+    if (k <= n) {
+        // Equal widths (the steady state) copy the whole block in
+        // one memmove; a narrower target takes the operand's width
+        // in one allocation.
+        block_.assign(other.block_.begin(), other.block_.end());
+        width_ = other.width_;
+        updateAccounting();
+    } else {
+        // A wider target keeps its width: each segment lands at its
+        // own offset and the slots past the operand's read absent.
+        for (std::size_t f = 0; f < kFields; f++)
+            std::copy_n(other.seg(static_cast<Field>(f)), n,
+                        seg(static_cast<Field>(f)));
+        clearSlots(n, k);
     }
-    for (std::size_t i = n; i < clk_.size(); i++) {
-        changed += clk_[i] != 0;
-        clk_[i] = 0;
-    }
-    // Bulk per-array copies: each is a straight 4-byte memmove, the
-    // payoff of the SoA layout on the linear path.
-    std::copy(other.aclk_.begin(), other.aclk_.end(), aclk_.begin());
-    std::copy(other.parent_.begin(), other.parent_.end(),
-              parent_.begin());
-    std::copy(other.firstChild_.begin(), other.firstChild_.end(),
-              firstChild_.begin());
-    std::copy(other.nextSib_.begin(), other.nextSib_.end(),
-              nextSib_.begin());
-    std::copy(other.prevSib_.begin(), other.prevSib_.end(),
-              prevSib_.begin());
-    std::fill(aclk_.begin() + static_cast<std::ptrdiff_t>(n),
-              aclk_.end(), 0);
-    std::fill(parent_.begin() + static_cast<std::ptrdiff_t>(n),
-              parent_.end(), kAbsent);
-    std::fill(firstChild_.begin() + static_cast<std::ptrdiff_t>(n),
-              firstChild_.end(), kNoTid);
-    std::fill(nextSib_.begin() + static_cast<std::ptrdiff_t>(n),
-              nextSib_.end(), kNoTid);
-    std::fill(prevSib_.begin() + static_cast<std::ptrdiff_t>(n),
-              prevSib_.end(), kNoTid);
     root_ = other.root_;
     if (counters_) {
         counters_->copies++;
         counters_->vtWork += changed;
-        counters_->dsWork += clk_.size();
+        counters_->dsWork += size();
     }
 }
 
@@ -477,15 +479,15 @@ TreeClock::toVectorInto(std::vector<Clk> &out,
             out[t] = get(static_cast<Tid>(t));
         return;
     }
-    out.assign(std::max(clk_.size(), min_threads), 0);
-    std::copy(clk_.begin(), clk_.end(), out.begin());
+    out.assign(std::max(size(), min_threads), 0);
+    std::copy_n(seg(kClk), size(), out.begin());
 }
 
 std::size_t
 TreeClock::nodeCount() const
 {
     std::size_t n = 0;
-    for (std::size_t i = 0; i < parent_.size(); i++)
+    for (std::size_t i = 0; i < size(); i++)
         n += hasThread(static_cast<Tid>(i));
     return n;
 }
@@ -495,7 +497,7 @@ TreeClock::parentOf(Tid t) const
 {
     if (!hasThread(t))
         return kNoTid;
-    const Tid p = parent_[static_cast<std::size_t>(t)];
+    const Tid p = links(kParent)[static_cast<std::size_t>(t)];
     return p == kAbsent ? kNoTid : p;
 }
 
@@ -503,7 +505,7 @@ Clk
 TreeClock::aclkOf(Tid t) const
 {
     return hasThread(t) && t != root_
-               ? aclk_[static_cast<std::size_t>(t)]
+               ? seg(kAclk)[static_cast<std::size_t>(t)]
                : 0;
 }
 
@@ -513,8 +515,8 @@ TreeClock::childrenOf(Tid t) const
     std::vector<Tid> out;
     if (!hasThread(t))
         return out;
-    for (Tid c = firstChild_[static_cast<std::size_t>(t)];
-         c != kNoTid; c = nextSib_[static_cast<std::size_t>(c)]) {
+    for (Tid c = links(kFirstChild)[static_cast<std::size_t>(t)];
+         c != kNoTid; c = links(kNextSib)[static_cast<std::size_t>(c)]) {
         out.push_back(c);
     }
     return out;
@@ -531,14 +533,14 @@ TreeClock::checkInvariants() const
     }
     if (!hasThread(root_))
         return "root is not present";
-    if (parent_[static_cast<std::size_t>(root_)] != kNoTid)
+    if (links(kParent)[static_cast<std::size_t>(root_)] != kNoTid)
         return "root has a parent";
 
     // Walk the tree from the root, verifying link consistency and
     // the descending-aclk child order on the way.
     std::vector<Tid> stack{root_};
     std::size_t reached = 0;
-    std::vector<bool> seen(parent_.size(), false);
+    std::vector<bool> seen(size(), false);
     while (!stack.empty()) {
         const Tid u = stack.back();
         stack.pop_back();
@@ -550,28 +552,28 @@ TreeClock::checkInvariants() const
         Clk prev_aclk = 0;
         bool first = true;
         Tid prev = kNoTid;
-        for (Tid c = firstChild_[static_cast<std::size_t>(u)];
-             c != kNoTid; c = nextSib_[static_cast<std::size_t>(c)]) {
+        for (Tid c = links(kFirstChild)[static_cast<std::size_t>(u)];
+             c != kNoTid; c = links(kNextSib)[static_cast<std::size_t>(c)]) {
             const auto ci = static_cast<std::size_t>(c);
             if (!hasThread(c))
                 return strFormat("child t%d of t%d not present", c,
                                  u);
-            if (parent_[ci] != u)
+            if (links(kParent)[ci] != u)
                 return strFormat("child t%d has wrong parent", c);
-            if (prevSib_[ci] != prev)
+            if (links(kPrevSib)[ci] != prev)
                 return strFormat("broken prevSib link at t%d", c);
-            if (!first && aclk_[ci] > prev_aclk) {
+            if (!first && seg(kAclk)[ci] > prev_aclk) {
                 return strFormat(
                     "children of t%d not in descending aclk order",
                     u);
             }
-            if (aclk_[ci] > clk_[static_cast<std::size_t>(u)]) {
+            if (seg(kAclk)[ci] > seg(kClk)[static_cast<std::size_t>(u)]) {
                 return strFormat(
                     "child t%d attached later (%u) than parent time "
-                    "(%u)", c, aclk_[ci],
-                    clk_[static_cast<std::size_t>(u)]);
+                    "(%u)", c, seg(kAclk)[ci],
+                    seg(kClk)[static_cast<std::size_t>(u)]);
             }
-            prev_aclk = aclk_[ci];
+            prev_aclk = seg(kAclk)[ci];
             first = false;
             prev = c;
             stack.push_back(c);
@@ -588,14 +590,14 @@ TreeClock::checkInvariants() const
 void
 TreeClock::serialize(ByteSink &out) const
 {
+    // One length-prefixed array per segment: the six-array layout
+    // that .tcsnap files pin.
     out.putI32(root_);
     out.putU64(fallbackCopies_);
-    out.putVec(clk_);
-    out.putVec(aclk_);
-    out.putVec(parent_);
-    out.putVec(firstChild_);
-    out.putVec(nextSib_);
-    out.putVec(prevSib_);
+    for (std::size_t f = 0; f < kFields; f++) {
+        out.putU64(size());
+        out.putBytes(seg(static_cast<Field>(f)), size() * sizeof(Clk));
+    }
 }
 
 bool
@@ -603,50 +605,45 @@ TreeClock::deserialize(ByteSource &in)
 {
     Tid root = kNoTid;
     std::uint64_t fallback = 0;
-    std::vector<Clk> clk, aclk;
-    std::vector<Tid> parent, first_child, next_sib, prev_sib;
-    if (!in.getI32(root) || !in.getU64(fallback) ||
-        !in.getVec(clk) || !in.getVec(aclk) ||
-        !in.getVec(parent) || !in.getVec(first_child) ||
-        !in.getVec(next_sib) || !in.getVec(prev_sib))
+    if (!in.getI32(root) || !in.getU64(fallback))
         return false;
-
     // Reject before mutating: all six arrays must agree, the root
     // must be addressable, and absent nodes must read as time 0
-    // (get() serves straight from clk_).
-    const std::size_t n = clk.size();
-    if (aclk.size() != n || parent.size() != n ||
-        first_child.size() != n || next_sib.size() != n ||
-        prev_sib.size() != n)
-        return in.fail();
+    // (get() serves straight from the clk segment).
+    std::vector<Clk> block, segment;
+    std::size_t n = 0;
+    for (std::size_t f = 0; f < kFields; f++) {
+        if (!in.getVec(segment))
+            return false;
+        if (f == 0)
+            n = segment.size();
+        else if (segment.size() != n)
+            return in.fail();
+        block.insert(block.end(), segment.begin(), segment.end());
+    }
     if (root != kNoTid &&
         (root < 0 || static_cast<std::size_t>(root) >= n))
         return in.fail();
+    const Clk *parent_seg = block.data() + kParent * n;
     for (std::size_t i = 0; i < n; i++) {
-        if (parent[i] == kAbsent &&
-            static_cast<Tid>(i) != root && clk[i] != 0)
+        if (parent_seg[i] == static_cast<Clk>(kAbsent) &&
+            static_cast<Tid>(i) != root && block[i] != 0)
             return in.fail();
     }
 
     root_ = root;
     fallbackCopies_ = fallback;
-    clk_ = std::move(clk);
-    aclk_ = std::move(aclk);
-    parent_ = std::move(parent);
-    firstChild_ = std::move(first_child);
-    nextSib_ = std::move(next_sib);
-    prevSib_ = std::move(prev_sib);
-    updateAccounting();
+    block_.clear();
+    width_ = Width{};
+    ensure(n);
+    for (std::size_t f = 0; f < kFields; f++)
+        std::copy_n(block.data() + f * n, n, seg(static_cast<Field>(f)));
     if (!checkInvariants().empty()) {
         // Leave a rejected clock empty rather than structurally
         // broken; the configured sinks stay attached.
         root_ = kNoTid;
-        clk_.clear();
-        aclk_.clear();
-        parent_.clear();
-        firstChild_.clear();
-        nextSib_.clear();
-        prevSib_.clear();
+        block_.clear();
+        width_ = Width{};
         return in.fail();
     }
     return true;
@@ -666,11 +663,11 @@ TreeClock::toString() const
         out += std::string(static_cast<std::size_t>(depth) * 2, ' ');
         if (u == root_) {
             out += strFormat("(t%d, %u, _)\n", u,
-                             clk_[static_cast<std::size_t>(u)]);
+                             seg(kClk)[static_cast<std::size_t>(u)]);
         } else {
             out += strFormat("(t%d, %u, %u)\n", u,
-                             clk_[static_cast<std::size_t>(u)],
-                             aclk_[static_cast<std::size_t>(u)]);
+                             seg(kClk)[static_cast<std::size_t>(u)],
+                             seg(kAclk)[static_cast<std::size_t>(u)]);
         }
         // Push children reversed so the first child prints first.
         const auto kids = childrenOf(u);

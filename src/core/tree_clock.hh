@@ -33,21 +33,25 @@
  * Implementation follows the paper's §6 notes: "the tree clock data
  * structure is represented as two arrays of length k, the first one
  * encoding the shape of the tree and the second one encoding the
- * integer timestamps as in a standard vector clock". Here clk_ is
- * the flat timestamp array (so Get is the same single load a vector
+ * integer timestamps as in a standard vector clock". Here the clk
+ * segment is that flat array (so Get is the same single load a vector
  * clock performs, Remark 1); the recursive traversals of Algorithm 2
  * are made iterative with an explicit node stack.
  *
- * Memory layout (structure of arrays). The shape is stored as five
- * parallel 32-bit arrays indexed by thread id — aclk_, parent_,
- * firstChild_, nextSib_, prevSib_ — rather than one array of 20-byte
- * per-node records. The traversals have sharply skewed access
- * patterns: the descending-aclk child scan of Join reads only
- * aclk/nextSib for pruned siblings, and the transplant loop writes
- * links but never re-reads aclk. With parallel arrays each scan
- * streams 4-byte entries of exactly the fields it touches (16 nodes
- * per cache line instead of 3), which is where the constant-factor
- * win of a cache-conscious layout comes from.
+ * Memory layout. The paper keeps "two arrays of length k" (§6); we
+ * keep all six per-node fields in one allocation of six segments,
+ * field f in the segment at word f·s: clk (so get() is one load,
+ * Remark 1), aclk, parent, firstChild, nextSib, prevSib. Each
+ * traversal streams only the fields it touches, 4 bytes per node
+ * (the pruned-sibling scan reads aclk/nextSib alone). The single
+ * block makes a clock as cheap to create and overwrite as a vector
+ * clock: one allocation, and one memmove per block copy between
+ * equal widths — the costs that decide MAZ's per-variable clocks.
+ * The stride s is the width k, except that wide clocks pad it off a
+ * multiple of 4 KiB: with s = k = 1024 the six fields of a node
+ * share one L1 set, and BM_SyncRoundTrip/1024 ran twice as slow.
+ * The width is stored, not derived from the block size: a division
+ * on each segment access cost a fifth of that round trip.
  *
  * Scratch ownership. The traversal stack lives in a ScratchArena
  * (scratch_arena.hh): engines attach one shared arena to all their
@@ -64,6 +68,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scratch_arena.hh"
@@ -177,8 +182,9 @@ class TreeClock
     Clk
     rawGet(Tid t) const
     {
+        // clk is segment 0.
         const auto i = static_cast<std::size_t>(t);
-        return i < clk_.size() ? clk_[i] : 0;
+        return i < width_.k ? block_[i] : 0;
     }
 
     /** Root's thread id (kNoTid when empty). */
@@ -190,7 +196,7 @@ class TreeClock
     {
         return root_ == kNoTid
                    ? 0
-                   : clk_[static_cast<std::size_t>(root_)];
+                   : block_[static_cast<std::size_t>(root_)];
     }
 
     bool empty() const { return root_ == kNoTid; }
@@ -279,8 +285,8 @@ class TreeClock
     void toVectorInto(std::vector<Clk> &out,
                       std::size_t min_threads = 0) const;
 
-    /** Number of addressable thread ids. */
-    std::size_t size() const { return clk_.size(); }
+    /** Number of addressable thread ids (each segment's length). */
+    std::size_t size() const { return width_.k; }
 
     /** Number of threads present in the tree. O(k). */
     std::size_t nodeCount() const;
@@ -291,8 +297,8 @@ class TreeClock
     hasThread(Tid t) const
     {
         const auto i = static_cast<std::size_t>(t);
-        return i < parent_.size() &&
-               (t == root_ || parent_[i] != kAbsent);
+        return i < size() &&
+               (t == root_ || links(kParent)[i] != kAbsent);
     }
     /** Parent thread of @p t's node (kNoTid for root/absent). */
     Tid parentOf(Tid t) const;
@@ -335,7 +341,15 @@ class TreeClock
     /** Sentinel parent for threads that were never in the tree. */
     static constexpr Tid kAbsent = -2;
 
-    void ensure(std::size_t n);
+    /** Widen every segment to @p n slots (inline: usually a no-op). */
+    void
+    ensure(std::size_t n)
+    {
+        if (size() < n)
+            grow(n);
+    }
+    /** The growth itself: one allocation for all six segments. */
+    void grow(std::size_t n);
     /** Front-insert @p child under @p parent (pushChild). */
     void pushChild(Tid child, Tid parent);
     /** Unlink @p t from its parent's child list. */
@@ -346,11 +360,12 @@ class TreeClock
 
     /**
      * getUpdatedNodesJoin / getUpdatedNodesCopy: collect into @p S
-     * (pre-order) the operand's nodes to transplant, unlinking them
-     * from this tree on the way. @p z_tid is the old root for
-     * copies (kNoTid for joins). Returns true when the walk stopped
-     * early because @p limit progressed non-root nodes had entered
-     * S; the tree is then half-unlinked and must be overwritten.
+     * (pre-order) the operand's nodes to transplant, and unlink them
+     * from this tree once the walk completes. @p z_tid is the old
+     * root for copies (kNoTid for joins). Returns true when the walk
+     * stopped early because @p limit progressed non-root nodes had
+     * entered S; nothing is unlinked then, as the caller overwrites
+     * the whole tree with a block copy.
      */
     bool gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
                        bool is_copy, Tid z_tid,
@@ -367,31 +382,84 @@ class TreeClock
         return arena_ ? arena_->stack : ownScratch_;
     }
 
-    /** Bytes per addressable slot: six parallel 32-bit arrays. */
+    /** Bytes per addressable slot: six 32-bit fields. */
     static constexpr std::uint64_t kBytesPerSlot = 6 * sizeof(Clk);
 
     /** Sync the counter sink's resident-byte gauge with the current
-     * array sizes (growth-only; shrinking never happens). */
+     * block size (growth-only; shrinking never happens). */
     void
     updateAccounting()
     {
         if (!counters_)
             return;
-        const std::uint64_t now = clk_.size() * kBytesPerSlot;
+        const std::uint64_t now = size() * kBytesPerSlot;
         if (now > accounted_) {
             counters_->addClockBytes(now - accounted_);
             accounted_ = now;
         }
     }
 
-    // Structure-of-arrays node storage, all 32-bit entries, indexed
-    // by thread id (see the file comment for why).
-    std::vector<Clk> clk_;        ///< flat timestamps (hot)
-    std::vector<Clk> aclk_;       ///< attachment times
-    std::vector<Tid> parent_;     ///< kAbsent = never present
-    std::vector<Tid> firstChild_; ///< head of child list
-    std::vector<Tid> nextSib_;    ///< next sibling (smaller aclk)
-    std::vector<Tid> prevSib_;    ///< previous sibling
+    /** The block's segments, in order; segment f starts at f·s. */
+    enum Field : std::size_t
+    {
+        kClk,        ///< flat timestamps (hot)
+        kAclk,       ///< attachment times
+        kParent,     ///< kAbsent = never present
+        kFirstChild, ///< head of child list
+        kNextSib,    ///< next sibling (smaller aclk)
+        kPrevSib,    ///< previous sibling
+        kFields,
+    };
+    /** Value of each field in a slot whose thread is absent. */
+    static constexpr Tid kFieldDefault[kFields] = {
+        0, 0, kAbsent, kNoTid, kNoTid, kNoTid};
+
+    /** Fill slots [@p from, @p to) of every segment with the
+     * absent-thread defaults. */
+    void clearSlots(std::size_t from, std::size_t to);
+
+    /** Segment stride for width @p k (see the file comment). */
+    static constexpr std::size_t
+    strideFor(std::size_t k)
+    {
+        return k < 512 ? k : k | 16;
+    }
+    Clk *seg(Field f) { return block_.data() + f * width_.stride; }
+    const Clk *
+    seg(Field f) const
+    {
+        return block_.data() + f * width_.stride;
+    }
+    // The link segments hold Tids; int32/uint32 may alias.
+    Tid *links(Field f) { return reinterpret_cast<Tid *>(seg(f)); }
+    const Tid *
+    links(Field f) const
+    {
+        return reinterpret_cast<const Tid *>(seg(f));
+    }
+
+    /** All node storage: kFields segments of strideFor(size())
+     * words each, one allocation (see the file comment). */
+    std::vector<Clk> block_;
+    /** size() and its segment stride. A move hands them over with
+     * block_ and leaves zeros behind, so a moved-from clock reads as
+     * empty, as block_ does. */
+    struct Width
+    {
+        std::size_t k = 0, stride = 0;
+        Width() = default;
+        explicit Width(std::size_t n) : k(n), stride(strideFor(n)) {}
+        Width(const Width &) = default;
+        Width &operator=(const Width &) = default;
+        Width(Width &&o) noexcept : Width(o) { o.k = o.stride = 0; }
+        Width &
+        operator=(Width &&o) noexcept
+        {
+            k = std::exchange(o.k, 0);
+            stride = std::exchange(o.stride, 0);
+            return *this;
+        }
+    } width_;
 
     Tid root_ = kNoTid;
     WorkCounters *counters_ = nullptr;

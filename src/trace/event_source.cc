@@ -1,5 +1,6 @@
 #include "trace/event_source.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -195,6 +196,73 @@ constexpr char kMagicV1[6] = {'T', 'C', 'T', 'B', '1', '\0'};
 constexpr char kMagicV2[6] = {'T', 'C', 'T', 'B', '2', '\0'};
 /** On-wire bytes per event: int32 tid, uint32 target, uint8 op. */
 constexpr std::size_t kEventBytes = 9;
+/** Bytes of the fixed binary-trace header: magic, 3×u32 id-space
+ * bounds, u64 event count. */
+constexpr std::size_t kBinaryHeaderBytes =
+    sizeof(kMagicV1) + 3 * sizeof(std::uint32_t) +
+    sizeof(std::uint64_t);
+
+/**
+ * Decode the binary header both readers share from the first @p got
+ * bytes of the file at @p d; @p payload counts the bytes after the
+ * header (UINT64_MAX when unknown). Returns the error message, or
+ * nullptr. Header counts are hints that consumers reserve by, so
+ * info promises no more than the bytes can back: events at most the
+ * records the payload holds, and each id space at most that many
+ * ids (consumers grow past them on demand). The declared event
+ * count still drives delivery, so a short file fails as truncated.
+ */
+const char *
+parseBinaryHeader(const unsigned char *d, std::size_t got,
+                  std::uint64_t payload, SourceInfo &info,
+                  std::uint64_t &declared, std::uint8_t &max_op)
+{
+    const char *bad_magic = "bad magic (not a treeclock binary trace)";
+    if (got < sizeof(kMagicV1))
+        return bad_magic;
+    if (std::memcmp(d, kMagicV1, sizeof(kMagicV1)) == 0)
+        max_op = kMaxOpV1;
+    else if (std::memcmp(d, kMagicV2, sizeof(kMagicV2)) == 0)
+        max_op = kMaxOpV2;
+    else
+        return bad_magic;
+    if (got < kBinaryHeaderBytes)
+        return "truncated header";
+    std::uint32_t header[3];
+    std::memcpy(header, d + sizeof(kMagicV1), sizeof(header));
+    std::memcpy(&declared, d + sizeof(kMagicV1) + sizeof(header),
+                sizeof(declared));
+    info.events = std::min(declared, payload / kEventBytes);
+    auto hint = [&info](std::uint32_t ids) {
+        return static_cast<std::int32_t>(
+            std::min<std::uint64_t>(ids, info.events));
+    };
+    info.threads = hint(header[0]);
+    info.locks = hint(header[1]);
+    info.vars = hint(header[2]);
+    // v2 files may carry lifecycle events, so their declared thread
+    // count can far exceed the live set — tell consumers to reserve
+    // accordingly.
+    info.lifecycle = max_op == kMaxOpV2;
+    return nullptr;
+}
+
+/** The tail both readers' refill() share, once @p got of the
+ * @p want bytes of the window after event @p delivered are in: the
+ * whole records to deliver, or 0 with @p error set when a record is
+ * torn or nothing arrived. */
+std::size_t
+windowRecords(std::size_t got, std::size_t want, std::uint64_t delivered,
+              std::string &error)
+{
+    if (got < want && got % kEventBytes != 0)
+        delivered += got / kEventBytes;
+    else if (got >= kEventBytes)
+        return got / kEventBytes;
+    error = strFormat("truncated event stream at event %llu",
+                      static_cast<unsigned long long>(delivered));
+    return 0;
+}
 
 /** Streaming reader over the binary format: refills a fixed window
  * of raw event records per bulk read, so memory use is O(window)
@@ -272,9 +340,9 @@ class BinaryEventSource final : public EventSource
     {
         if (!rewind())
             return false;
-        if (n >= info_.events) {
+        if (n >= declared_) {
             // At or past the end: nothing left to deliver; refill()
-            // sees delivered_ >= events and reports end of stream.
+            // sees delivered_ >= declared_ and reports end of stream.
             delivered_ = n;
             return true;
         }
@@ -292,74 +360,50 @@ class BinaryEventSource final : public EventSource
     void
     parseHeader()
     {
-        char magic[sizeof(kMagicV1)];
-        if (!is_->read(magic, sizeof(magic))) {
-            fail(0, "bad magic (not a treeclock binary trace)");
-            return;
+        unsigned char head[kBinaryHeaderBytes];
+        is_->read(reinterpret_cast<char *>(head), sizeof(head));
+        const auto got = static_cast<std::size_t>(is_->gcount());
+        // Payload bytes, when the stream can seek to its end.
+        std::uint64_t payload = UINT64_MAX;
+        const std::istream::pos_type here = is_->tellg();
+        if (got == sizeof(head) && here != std::istream::pos_type(-1)) {
+            const auto end = is_->seekg(0, std::ios::end).tellg();
+            if (end != std::istream::pos_type(-1))
+                payload = static_cast<std::uint64_t>(end - here);
+            is_->clear();
+            is_->seekg(here);
         }
-        if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-            maxOp_ = kMaxOpV1;
-        } else if (std::memcmp(magic, kMagicV2,
-                               sizeof(kMagicV2)) == 0) {
-            maxOp_ = kMaxOpV2;
-        } else {
-            fail(0, "bad magic (not a treeclock binary trace)");
-            return;
-        }
-        std::uint32_t header[3];
-        std::uint64_t n = 0;
-        if (!is_->read(reinterpret_cast<char *>(header),
-                       sizeof(header)) ||
-            !is_->read(reinterpret_cast<char *>(&n), sizeof(n))) {
-            fail(0, "truncated header");
-            return;
-        }
-        info_.threads = static_cast<Tid>(header[0]);
-        info_.locks = static_cast<LockId>(header[1]);
-        info_.vars = static_cast<VarId>(header[2]);
-        info_.events = n;
-        // v2 files may carry lifecycle events, so their declared
-        // thread count can far exceed the live set — tell consumers
-        // to reserve accordingly.
-        info_.lifecycle = maxOp_ == kMaxOpV2;
+        if (const char *error = parseBinaryHeader(
+                head, got, payload, info_, declared_, maxOp_))
+            fail(0, error);
     }
 
     /** Bulk-read the next window of raw records. */
     bool
     refill()
     {
-        if (delivered_ >= info_.events)
+        if (delivered_ >= declared_)
             return false;
-        const std::uint64_t remaining = info_.events - delivered_;
+        const std::uint64_t remaining = declared_ - delivered_;
         const std::size_t want = static_cast<std::size_t>(
             remaining < window_ ? remaining : window_);
         buf_.resize(want * kEventBytes);
         is_->read(reinterpret_cast<char *>(buf_.data()),
                   static_cast<std::streamsize>(buf_.size()));
         const auto got = static_cast<std::size_t>(is_->gcount());
-        if (got < buf_.size() && got % kEventBytes != 0) {
-            fail(0, strFormat(
-                        "truncated event stream at event %llu",
-                        static_cast<unsigned long long>(
-                            delivered_ + got / kEventBytes)));
-            return false;
-        }
-        bufCount_ = got / kEventBytes;
+        std::string error;
+        bufCount_ = windowRecords(got, buf_.size(), delivered_, error);
         bufPos_ = 0;
-        if (bufCount_ == 0) {
-            fail(0, strFormat(
-                        "truncated event stream at event %llu",
-                        static_cast<unsigned long long>(
-                            delivered_)));
-            return false;
-        }
-        return true;
+        if (bufCount_ == 0)
+            fail(0, error);
+        return bufCount_ != 0;
     }
 
     std::unique_ptr<std::istream> owned_;
     std::istream *is_;
     std::istream::pos_type start_;
     SourceInfo info_;
+    std::uint64_t declared_ = 0; ///< header event count
     std::size_t window_;
     std::uint8_t maxOp_ = kMaxOpV1;
     std::vector<unsigned char> buf_;
@@ -367,12 +411,6 @@ class BinaryEventSource final : public EventSource
     std::size_t bufCount_ = 0;
     std::uint64_t delivered_ = 0;
 };
-
-/** Bytes of the fixed binary-trace header: magic, 3×u32 id-space
- * bounds, u64 event count. */
-constexpr std::size_t kBinaryHeaderBytes =
-    sizeof(kMagicV1) + 3 * sizeof(std::uint32_t) +
-    sizeof(std::uint64_t);
 
 /**
  * Zero-copy reader over a mapped binary trace: same windowed
@@ -451,34 +489,15 @@ class MappedBinaryEventSource final : public EventSource
     void
     parseHeader()
     {
-        const unsigned char *d = map_->data();
-        if (map_->size() < sizeof(kMagicV1)) {
-            fail(0, "bad magic (not a treeclock binary trace)");
+        const std::size_t size = map_->size();
+        if (const char *error = parseBinaryHeader(
+                map_->data(), size,
+                size > kBinaryHeaderBytes ? size - kBinaryHeaderBytes
+                                          : 0,
+                info_, declared_, maxOp_)) {
+            fail(0, error);
             return;
         }
-        if (std::memcmp(d, kMagicV1, sizeof(kMagicV1)) == 0) {
-            maxOp_ = kMaxOpV1;
-        } else if (std::memcmp(d, kMagicV2,
-                               sizeof(kMagicV2)) == 0) {
-            maxOp_ = kMaxOpV2;
-        } else {
-            fail(0, "bad magic (not a treeclock binary trace)");
-            return;
-        }
-        if (map_->size() < kBinaryHeaderBytes) {
-            fail(0, "truncated header");
-            return;
-        }
-        std::uint32_t header[3];
-        std::uint64_t n = 0;
-        std::memcpy(header, d + sizeof(kMagicV1), sizeof(header));
-        std::memcpy(&n, d + sizeof(kMagicV1) + sizeof(header),
-                    sizeof(n));
-        info_.threads = static_cast<Tid>(header[0]);
-        info_.locks = static_cast<LockId>(header[1]);
-        info_.vars = static_cast<VarId>(header[2]);
-        info_.events = n;
-        info_.lifecycle = maxOp_ == kMaxOpV2;
         // Validation dispatch table: one byte-indexed load per
         // record instead of a compare against the format version.
         for (std::size_t op = 0; op < sizeof(opValid_); op++)
@@ -491,9 +510,9 @@ class MappedBinaryEventSource final : public EventSource
     bool
     refill()
     {
-        if (delivered_ >= info_.events)
+        if (delivered_ >= declared_)
             return false;
-        const std::uint64_t remaining = info_.events - delivered_;
+        const std::uint64_t remaining = declared_ - delivered_;
         const std::size_t want = static_cast<std::size_t>(
             remaining < window_ ? remaining : window_);
         const std::size_t wantBytes = want * kEventBytes;
@@ -503,24 +522,13 @@ class MappedBinaryEventSource final : public EventSource
             map_->size() > consumed
                 ? static_cast<std::size_t>(map_->size() - consumed)
                 : 0;
-        const std::size_t got = std::min(wantBytes, avail);
-        if (got < wantBytes && got % kEventBytes != 0) {
-            fail(0, strFormat(
-                        "truncated event stream at event %llu",
-                        static_cast<unsigned long long>(
-                            delivered_ + got / kEventBytes)));
-            return false;
-        }
-        bufCount_ = got / kEventBytes;
+        std::string error;
+        bufCount_ = windowRecords(std::min(wantBytes, avail),
+                                  wantBytes, delivered_, error);
         bufPos_ = 0;
-        if (bufCount_ == 0) {
-            fail(0, strFormat(
-                        "truncated event stream at event %llu",
-                        static_cast<unsigned long long>(
-                            delivered_)));
-            return false;
-        }
-        return true;
+        if (bufCount_ == 0)
+            fail(0, error);
+        return bufCount_ != 0;
     }
 
     /** Decode @p take records of the current window into @p out in
@@ -563,6 +571,7 @@ class MappedBinaryEventSource final : public EventSource
 
     std::unique_ptr<MappedFile> map_;
     SourceInfo info_;
+    std::uint64_t declared_ = 0; ///< header event count
     std::size_t window_;
     std::uint8_t maxOp_ = kMaxOpV1;
     bool opValid_[256] = {};

@@ -428,5 +428,70 @@ TEST_F(CliValidation, ResumeRevalidatesTheSkippedPrefix)
     }
 }
 
+/**
+ * Header counts are hints. A tiny .tcb (one declared event, then
+ * three bytes of a torn record) with each header field in turn set
+ * to a huge value must stop as a truncated stream, exit 3, in every
+ * read mode, and never by a signal: nothing the header sizes may
+ * allocate past the bytes behind it. The memory-capped CI leg
+ * reruns this suite where overcommit cannot hide such an
+ * allocation.
+ */
+TEST_F(CliValidation, HugeHeaderCountsExitThree)
+{
+    struct Field
+    {
+        const char *name;
+        std::size_t offset; // past the 6-byte magic
+        std::size_t width;
+    };
+    const Field fields[] = {{"threads", 6, 4},
+                            {"locks", 10, 4},
+                            {"vars", 14, 4},
+                            {"events", 18, 8}};
+    const std::uint64_t values[] = {(1ull << 31) - 1, (1ull << 32) - 1,
+                                    1ull << 40};
+    const std::string file = kWorkDir + "/huge_header.tcb";
+    for (const Field &field : fields) {
+        for (const std::uint64_t value : values) {
+            if (field.width == 4 && value > UINT32_MAX)
+                continue;
+            std::string bytes("TCTB1\0", 6);
+            const std::uint32_t ids[3] = {1, 0, 0};
+            const std::uint64_t events = 1;
+            bytes.append(reinterpret_cast<const char *>(ids),
+                         sizeof(ids));
+            bytes.append(reinterpret_cast<const char *>(&events),
+                         sizeof(events));
+            bytes.append(3, '\0');
+            if (field.width == 4) {
+                const auto v = static_cast<std::uint32_t>(value);
+                bytes.replace(field.offset, 4,
+                              reinterpret_cast<const char *>(&v), 4);
+            } else {
+                bytes.replace(field.offset, 8,
+                              reinterpret_cast<const char *>(&value),
+                              8);
+            }
+            ASSERT_EQ(bytes.size(), 29u);
+            std::ofstream(file, std::ios::binary) << bytes;
+            for (const char *mode : {"", " --parallel", " --io=stream",
+                                     " --shard-analysis=2"}) {
+                const std::string label =
+                    strFormat("%s=%llu%s", field.name,
+                              static_cast<unsigned long long>(value),
+                              mode);
+                const CliRun run =
+                    runDetector("--trace=" + file + kAnalyses + mode);
+                ASSERT_FALSE(run.signaled) << label << ": " << run.err;
+                EXPECT_EQ(run.exitCode, 3) << label << ": " << run.err;
+                EXPECT_EQ(run.err,
+                          "error: truncated event stream at event 0\n")
+                    << label;
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace tc

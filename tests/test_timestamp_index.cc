@@ -45,6 +45,29 @@ TEST(TimestampIndex, DetectsConcurrentConflicts)
     EXPECT_EQ(pairs[0], (std::pair<std::size_t, std::size_t>{0, 1}));
 }
 
+TEST(TimestampIndex, DeclaredThreadsBeyondTheEventsStayInTheWidth)
+{
+    // Four declared threads, two events: every timestamp stays four
+    // entries wide, on every partial order (MAZ orders the writes).
+    Trace t(4, 0, 1);
+    t.write(0, 0);
+    t.write(1, 0);
+    const std::vector<Clk> first{1, 0, 0, 0};
+    EXPECT_EQ((test::collectTimestamps<HbEngine, TreeClock>(t)[0]), first);
+    EXPECT_EQ((test::collectTimestamps<ShbEngine, TreeClock>(t)[0]),
+              first);
+    EXPECT_EQ((test::collectTimestamps<MazEngine, TreeClock>(t)[0]),
+              first);
+    for (const auto kind : {PartialOrderKind::HB, PartialOrderKind::SHB,
+                            PartialOrderKind::MAZ}) {
+        const TimestampIndex idx(t, kind);
+        const Clk seen = kind == PartialOrderKind::MAZ ? 1 : 0;
+        EXPECT_EQ(idx.timestampOf(0), first);
+        EXPECT_EQ(idx.timestampOf(1),
+                  (std::vector<Clk>{seen, 1, 0, 0}));
+    }
+}
+
 TEST(TimestampIndex, KindsDiffer)
 {
     Trace t;

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -198,6 +199,278 @@ INSTANTIATE_TEST_SUITE_P(
             return "NoPruning";
         }
         return "Unknown";
+    });
+
+/**
+ * Recursive reference for Algorithm 2's Join and MonotoneCopy at
+ * the level of tree shape: explicit child vectors instead of link
+ * segments, recursion instead of the iterative walk, and every
+ * unlink done in a separate pass before the attach. A copy whose
+ * walk meets ⌈k/8⌉ progressed nodes (k = the operand's width), or
+ * that never meets the target's old root, takes the operand's
+ * shape wholesale, as TreeClock's block copy does.
+ */
+class ShapeReference
+{
+  public:
+    ShapeReference(Tid k, Tid root) : nodes_(static_cast<std::size_t>(k))
+    {
+        if (root != kNoTid) {
+            root_ = root;
+            node(root).present = true;
+        }
+    }
+
+    void increment(Clk d) { node(root_).clk += d; }
+
+    /** Returns true when the walk reached the block-copy limit. */
+    bool
+    apply(const ShapeReference &o, bool is_copy,
+          TreeClock::JoinPolicy policy, std::size_t limit)
+    {
+        if (o.root_ == kNoTid)
+            return false;
+        if (is_copy && root_ == kNoTid) {
+            *this = o;
+            return false;
+        }
+        if (!is_copy && o.get(o.root_) <= get(o.root_))
+            return false;
+        std::vector<Tid> S;
+        std::size_t progressed = 0;
+        gather(o, o.root_, true, is_copy, policy, S, progressed);
+        const bool limited =
+            policy == TreeClock::JoinPolicy::Full && is_copy &&
+            progressed >= limit;
+        if (limited ||
+            (is_copy && root_ != o.root_ &&
+             std::find(S.begin(), S.end(), root_) == S.end())) {
+            *this = o;
+            return limited;
+        }
+        for (const Tid t : S) {
+            if (t != root_ && node(t).present)
+                detach(t);
+        }
+        for (auto it = S.rbegin(); it != S.rend(); ++it) {
+            Node &n = node(*it);
+            const Node &src = o.node(*it);
+            n.present = true;
+            n.clk = src.clk;
+            if (src.parent != kNoTid) {
+                n.aclk = src.aclk;
+                pushFront(*it, src.parent);
+            }
+        }
+        if (is_copy) {
+            root_ = o.root_;
+            node(root_).parent = kNoTid;
+            node(root_).aclk = 0;
+        } else {
+            node(o.root_).aclk = node(root_).clk;
+            pushFront(o.root_, root_);
+        }
+        return false;
+    }
+
+    /** Holds @p tree to this shape for every tid. */
+    void
+    expectShape(const TreeClock &tree, const std::string &where) const
+    {
+        for (Tid t = 0; t < static_cast<Tid>(nodes_.size()); t++) {
+            const Node &n = node(t);
+            ASSERT_EQ(tree.hasThread(t), n.present) << where << " t" << t;
+            ASSERT_EQ(tree.get(t), n.clk) << where << " t" << t;
+            ASSERT_EQ(tree.parentOf(t), n.present ? n.parent : kNoTid)
+                << where << " t" << t;
+            ASSERT_EQ(tree.aclkOf(t), n.present ? n.aclk : 0u)
+                << where << " t" << t;
+            ASSERT_EQ(tree.childrenOf(t), n.kids) << where << " t" << t;
+        }
+    }
+
+  private:
+    struct Node
+    {
+        bool present = false;
+        Clk clk = 0;
+        Clk aclk = 0;
+        Tid parent = kNoTid;
+        std::vector<Tid> kids; ///< descending aclk
+    };
+
+    Node &node(Tid t) { return nodes_[static_cast<std::size_t>(t)]; }
+    const Node &
+    node(Tid t) const
+    {
+        return nodes_[static_cast<std::size_t>(t)];
+    }
+    Clk get(Tid t) const { return node(t).clk; }
+
+    /** getUpdatedNodesJoin / getUpdatedNodesCopy, pre-order. */
+    void
+    gather(const ShapeReference &o, Tid u, bool take, bool is_copy,
+           TreeClock::JoinPolicy policy, std::vector<Tid> &S,
+           std::size_t &progressed) const
+    {
+        if (take)
+            S.push_back(u);
+        for (const Tid v : o.node(u).kids) {
+            const bool ahead = get(v) < o.get(v);
+            if (ahead || policy == TreeClock::JoinPolicy::NoPruning) {
+                progressed += ahead;
+                gather(o, v, ahead || is_copy, is_copy, policy, S,
+                       progressed);
+                continue;
+            }
+            if (is_copy && v == root_)
+                S.push_back(v);
+            if (policy == TreeClock::JoinPolicy::Full &&
+                o.node(v).aclk <= get(u))
+                break;
+        }
+    }
+
+    void
+    detach(Tid t)
+    {
+        std::vector<Tid> &kids = node(node(t).parent).kids;
+        kids.erase(std::find(kids.begin(), kids.end(), t));
+    }
+
+    void
+    pushFront(Tid t, Tid parent)
+    {
+        node(t).parent = parent;
+        std::vector<Tid> &kids = node(parent).kids;
+        kids.insert(kids.begin(), t);
+    }
+
+    std::vector<Node> nodes_;
+    Tid root_ = kNoTid;
+};
+
+struct ShapeCase
+{
+    Tid k;
+    TreeClock::JoinPolicy policy;
+};
+
+class ShapeDifferential : public ::testing::TestWithParam<ShapeCase>
+{};
+
+/**
+ * Random increments, lock rounds (acquire-join, release-copy),
+ * thread-to-thread joins and CopyCheckMonotone into auxiliary
+ * clocks, with the shape of every touched clock held to the
+ * reference after every operation.
+ */
+TEST_P(ShapeDifferential, TreeShapeMatchesRecursiveReference)
+{
+    const Tid k = GetParam().k;
+    const TreeClock::JoinPolicy policy = GetParam().policy;
+    const std::size_t locks = 3;
+    const std::size_t aux = 2;
+    std::vector<TreeClock> threads, lockClocks(locks), auxClocks(aux);
+    std::vector<ShapeReference> refThreads;
+    std::vector<ShapeReference> refLocks(locks, ShapeReference(k, kNoTid));
+    std::vector<ShapeReference> refAux(aux, ShapeReference(k, kNoTid));
+    for (Tid t = 0; t < k; t++) {
+        threads.emplace_back(t, static_cast<std::size_t>(k));
+        refThreads.emplace_back(k, t);
+    }
+    for (auto *group : {&threads, &lockClocks, &auxClocks}) {
+        for (TreeClock &c : *group)
+            c.setPolicy(policy);
+    }
+
+    const std::size_t limit = (static_cast<std::size_t>(k) + 7) / 8;
+    std::size_t limited = 0;
+    auto join = [&](std::size_t dst, const TreeClock &src,
+                    const ShapeReference &ref_src) {
+        threads[dst].join(src);
+        refThreads[dst].apply(ref_src, false, policy, limit);
+        refThreads[dst].expectShape(threads[dst], "join");
+    };
+    auto copy = [&](TreeClock &dst, ShapeReference &ref_dst,
+                    std::size_t src, bool check_monotone) {
+        if (check_monotone && !dst.lessThanOrEqual(threads[src])) {
+            dst.deepCopy(threads[src]);
+            ref_dst = refThreads[src];
+        } else {
+            dst.monotoneCopy(threads[src]);
+            limited += ref_dst.apply(refThreads[src], true, policy,
+                                     limit);
+        }
+        ref_dst.expectShape(dst, "copy");
+    };
+
+    Rng rng(0x5ba9eULL + static_cast<std::uint64_t>(k) * 7 +
+            static_cast<std::uint64_t>(policy));
+    const int steps = 2000 * test::depthScale();
+    for (int step = 0; step < steps; step++) {
+        const auto t = static_cast<std::size_t>(
+            rng.below(static_cast<std::uint64_t>(k)));
+        switch (rng.below(8)) {
+          case 0:
+            threads[t].increment(1);
+            refThreads[t].increment(1);
+            break;
+          case 1:
+          case 2:
+          case 3: {
+            const auto l = static_cast<std::size_t>(rng.below(locks));
+            threads[t].increment(1);
+            refThreads[t].increment(1);
+            join(t, lockClocks[l], refLocks[l]);
+            threads[t].increment(1);
+            refThreads[t].increment(1);
+            copy(lockClocks[l], refLocks[l], t, false);
+            break;
+          }
+          case 4:
+          case 5: {
+            const auto src = static_cast<std::size_t>(
+                rng.below(static_cast<std::uint64_t>(k)));
+            if (src == t)
+                break;
+            threads[t].increment(1);
+            refThreads[t].increment(1);
+            join(t, threads[src], refThreads[src]);
+            break;
+          }
+          default: {
+            const auto a = static_cast<std::size_t>(rng.below(aux));
+            copy(auxClocks[a], refAux[a], t, true);
+            break;
+          }
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    for (std::size_t t = 0; t < threads.size(); t++)
+        refThreads[t].expectShape(threads[t], "final thread");
+    // The sweep must reach the block-copy limit (Full only).
+    if (policy == TreeClock::JoinPolicy::Full) {
+        EXPECT_GT(limited, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, ShapeDifferential,
+    ::testing::Values(ShapeCase{4, TreeClock::JoinPolicy::Full},
+                      ShapeCase{17, TreeClock::JoinPolicy::Full},
+                      ShapeCase{96, TreeClock::JoinPolicy::Full},
+                      ShapeCase{17, TreeClock::JoinPolicy::NoIndirect},
+                      ShapeCase{17, TreeClock::JoinPolicy::NoPruning}),
+    [](const auto &info) {
+        const char *policy =
+            info.param.policy == TreeClock::JoinPolicy::Full
+                ? "Full"
+                : info.param.policy == TreeClock::JoinPolicy::NoIndirect
+                      ? "NoIndirect"
+                      : "NoPruning";
+        return std::string(policy) + "K" + std::to_string(info.param.k);
     });
 
 } // namespace
