@@ -9,10 +9,13 @@
  * Every benchmark reports a heap_allocs counter — allocations (via
  * the alloc_hook.cc global operator new) performed inside the
  * measured loop (per copy for BM_FirstCopy, whose loop creates a
- * clock). The steady-state join/copy benchmarks must report 0: the
- * clock hot paths reuse their scratch and never allocate once
- * warmed. Pass --json <path> for a machine-readable report
- * (BENCH_baseline.json is generated this way).
+ * clock; per window for BM_HbFeedWindow). The steady-state
+ * join/copy benchmarks must report 0: the clock hot paths reuse
+ * their scratch and never allocate once warmed. So must
+ * BM_HbFeedWindow, the same gate one layer up: the HB engine's
+ * per-event work over already-sized state. Pass --json <path> for
+ * a machine-readable report (BENCH_baseline.json is generated this
+ * way).
  */
 
 #include <benchmark/benchmark.h>
@@ -22,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/hb_engine.hh"
 #include "bench_common.hh"
 #include "core/tree_clock.hh"
 #include "core/vector_clock.hh"
@@ -233,6 +237,56 @@ BM_FirstCopy(benchmark::State &state)
         benchmark::Counter::kAvgIterations);
 }
 
+/**
+ * HB with the analysis phase, fed one 4096-event window again and
+ * again through AnalysisDriver::feedWindow: 8 threads, 1024
+ * reserved variables that the warm-up windows have already
+ * touched, 70% reads — many concurrent, so histories promote to
+ * shared read vectors and later writes hand them back — and 1%
+ * lock pairs. heap_allocs is per window: steady-state engine work
+ * must not allocate.
+ */
+template <typename ClockT>
+void
+BM_HbFeedWindow(benchmark::State &state)
+{
+    constexpr Tid kThreads = 8;
+    constexpr LockId kLocks = 4;
+    constexpr VarId kVars = 1024;
+    Rng rng(42);
+    std::vector<Event> events;
+    while (events.size() < kDefaultSourceWindow) {
+        const auto t = static_cast<Tid>(rng.below(kThreads));
+        if (events.size() + 2 <= kDefaultSourceWindow &&
+            rng.chance(0.005)) {
+            const auto l =
+                static_cast<std::uint32_t>(rng.below(kLocks));
+            events.emplace_back(t, OpType::Acquire, l);
+            events.emplace_back(t, OpType::Release, l);
+            continue;
+        }
+        events.emplace_back(
+            t, rng.chance(0.7) ? OpType::Read : OpType::Write,
+            static_cast<std::uint32_t>(rng.below(kVars)));
+    }
+    const EventWindow window{events.data(), events.size()};
+
+    HbEngine<ClockT> engine;
+    engine.begin({kThreads, kLocks, kVars, kUnknownEventCount, false});
+    for (int warm = 0; warm < 3; warm++)
+        engine.feedWindow(window);
+    const std::uint64_t allocs = bench::heapAllocCount();
+    for (auto _ : state) {
+        engine.feedWindow(window);
+        benchmark::DoNotOptimize(engine.races().total());
+    }
+    state.counters["heap_allocs"] = benchmark::Counter(
+        static_cast<double>(bench::heapAllocCount() - allocs),
+        benchmark::Counter::kAvgIterations);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(window.size));
+}
+
 #define TC_BENCH_RANGE RangeMultiplier(4)->Range(8, 2048)
 
 BENCHMARK_TEMPLATE(BM_Get, VectorClock)->TC_BENCH_RANGE;
@@ -251,6 +305,8 @@ BENCHMARK_TEMPLATE(BM_StaleMonotoneCopy, TreeClock)
     ->TC_BENCH_RANGE->UseManualTime();
 BENCHMARK_TEMPLATE(BM_FirstCopy, VectorClock)->TC_BENCH_RANGE;
 BENCHMARK_TEMPLATE(BM_FirstCopy, TreeClock)->TC_BENCH_RANGE;
+BENCHMARK_TEMPLATE(BM_HbFeedWindow, VectorClock);
+BENCHMARK_TEMPLATE(BM_HbFeedWindow, TreeClock);
 
 /** Mirrors every finished run into the shared JsonReporter while
  * keeping the familiar console table. */

@@ -13,9 +13,12 @@ exceed the baseline's. The steady-state join/copy benchmarks
 BM_StaleMonotoneCopy) are
 additionally required to stay at exactly 0 allocations — a warmed
 clock hot path must never touch the heap, whatever the baseline
-says. BM_FirstCopy (heap_allocs per copy into a fresh clock) is
-held to a same-run comparison: at every width, the tree clock may
-not allocate more per first copy than the vector clock.
+says. So is BM_HbFeedWindow, the same gate at the engine layer (HB
+fed one window of events at a time over already-sized state);
+both of its clock instantiations must be in the report.
+BM_FirstCopy (heap_allocs per copy into a fresh clock) is held to
+a same-run comparison: at every width, the tree clock may not
+allocate more per first copy than the vector clock.
 
 Timing metrics are deliberately ignored: allocation counts are
 deterministic, wall times are not.
@@ -27,11 +30,14 @@ import sys
 FIRST_COPY = "BM_FirstCopy"
 TREE, FLAT = "<TreeClock>", "<VectorClock>"
 
+ENGINE_WINDOW = "BM_HbFeedWindow"
+
 STEADY_STATE_PREFIXES = (
     "BM_JoinVacuous",
     "BM_SyncRoundTrip",
     "BM_MonotoneCopy",
     "BM_StaleMonotoneCopy",
+    ENGINE_WINDOW,
 )
 
 
@@ -74,6 +80,11 @@ def main() -> int:
             failures.append(
                 f"{name}: heap_allocs {allocs:.0f} > baseline "
                 f"{base:.0f}")
+
+    for clock in (FLAT, TREE):
+        if ENGINE_WINDOW + clock not in current:
+            failures.append(f"{ENGINE_WINDOW}{clock}: missing from the "
+                            f"report (the engine-layer gate did not run)")
 
     for name, allocs in sorted(current.items()):
         if not name.startswith(FIRST_COPY + TREE):

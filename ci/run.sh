@@ -121,7 +121,7 @@ echo "=== bench smoke (alloc + throughput regressions) ==="
     --reps=2 --json=/tmp/tc-bench-streaming.json > /dev/null
 if [[ -x build-ci-werror/bench_micro_clock ]]; then
     ./build-ci-werror/bench_micro_clock \
-        --benchmark_filter='BM_JoinVacuous|BM_SyncRoundTrip|BM_MonotoneCopy|BM_StaleMonotoneCopy|BM_FirstCopy' \
+        --benchmark_filter='BM_JoinVacuous|BM_SyncRoundTrip|BM_MonotoneCopy|BM_StaleMonotoneCopy|BM_FirstCopy|BM_HbFeedWindow' \
         --json /tmp/tc-bench-micro.json > /dev/null
     python3 ci/merge_bench_json.py /tmp/tc-bench-ci.json \
         bench_micro_clock=/tmp/tc-bench-micro.json \

@@ -9,11 +9,25 @@
  * pre-epoch (DJIT+-style) variant that always keeps full per-thread
  * read and write vectors; it exists as the `useEpochs=false`
  * ablation of the HB engine.
+ *
+ * Layout: an AccessHistory is two 8-byte slots — the last-write
+ * epoch, and a read slot holding either the read epoch or, once
+ * reads are shared, a tagged index into a SharedReadStore. A
+ * policy keeps one history per variable (a million on large
+ * traces) but only the few variables with concurrent readers need
+ * a vector, so the vectors live out of line in one store per
+ * policy, and a write's clearReads() hands the vector back to the
+ * store's free list for the next promotion to reuse. Every
+ * AccessHistory call that may reach a shared vector takes the
+ * owning store.
  */
 
 #ifndef TC_ANALYSIS_ACCESS_HISTORY_HH
 #define TC_ANALYSIS_ACCESS_HISTORY_HH
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "analysis/epoch.hh"
@@ -21,6 +35,81 @@
 #include "support/types.hh"
 
 namespace tc {
+
+/**
+ * The shared-read vectors of one policy's AccessHistories. An entry
+ * also keeps the read epoch that was promoted into it: the
+ * checkpoint layout stores that (stale) epoch beside the vector.
+ * Released entries keep their capacity, so steady-state promotions
+ * do not allocate.
+ */
+class SharedReadStore
+{
+  public:
+    struct Entry
+    {
+        Epoch promoted;
+        std::vector<Clk> reads;
+    };
+
+    /** A fresh entry for the read epoch @p promoted: @p width zero
+     * slots (more if the promoted read's thread lies past them)
+     * plus the promoted read. Returns its index. */
+    std::uint32_t
+    promote(Epoch promoted, std::size_t width)
+    {
+        const auto t = static_cast<std::size_t>(promoted.tid);
+        const std::uint32_t i = take();
+        Entry &entry = entries_[i];
+        entry.promoted = promoted;
+        entry.reads.assign(std::max(width, t + 1), 0);
+        entry.reads[t] = promoted.clk;
+        return i;
+    }
+
+    /** An entry holding exactly @p reads (checkpoint restore). */
+    std::uint32_t
+    adopt(Epoch promoted, std::vector<Clk> reads)
+    {
+        const std::uint32_t i = take();
+        entries_[i] = Entry{promoted, std::move(reads)};
+        return i;
+    }
+
+    void release(std::uint32_t i) { free_.push_back(i); }
+
+    Entry &operator[](std::uint32_t i) { return entries_[i]; }
+    const Entry &operator[](std::uint32_t i) const
+    {
+        return entries_[i];
+    }
+
+    /** Entries ever created, free or in use. */
+    std::size_t capacity() const { return entries_.size(); }
+
+    void
+    clear()
+    {
+        entries_.clear();
+        free_.clear();
+    }
+
+  private:
+    std::uint32_t
+    take()
+    {
+        if (free_.empty()) {
+            entries_.emplace_back();
+            return static_cast<std::uint32_t>(entries_.size() - 1);
+        }
+        const std::uint32_t i = free_.back();
+        free_.pop_back();
+        return i;
+    }
+
+    std::vector<Entry> entries_;
+    std::vector<std::uint32_t> free_;
+};
 
 /** FastTrack-style adaptive access history for one variable. */
 class AccessHistory
@@ -32,29 +121,31 @@ class AccessHistory
     /**
      * Record a read t@c. While reads stay totally ordered (each new
      * read covers the stored one) a single epoch suffices; otherwise
-     * promote to a per-thread vector of size @p num_threads.
+     * promote to a per-thread vector of size @p num_threads in
+     * @p store.
      */
     template <typename ClockT>
     void
-    recordRead(Tid t, Clk c, const ClockT &clock, Tid num_threads)
+    recordRead(Tid t, Clk c, const ClockT &clock, Tid num_threads,
+               SharedReadStore &store)
     {
-        if (!shared_) {
-            if (readEpoch_.isNone() || readEpoch_.tid == t ||
-                readEpoch_.coveredBy(clock)) {
-                readEpoch_ = Epoch(t, c);
+        if (!sharedReads()) {
+            if (read_.isNone() || read_.tid == t ||
+                read_.coveredBy(clock)) {
+                read_ = Epoch(t, c);
                 return;
             }
             // Concurrent reads: switch to the shared representation.
-            shared_ = true;
-            readVec_.assign(static_cast<std::size_t>(num_threads), 0);
-            readVec_[static_cast<std::size_t>(readEpoch_.tid)] =
-                readEpoch_.clk;
+            read_ = Epoch(kShared,
+                          store.promote(read_, static_cast<std::size_t>(
+                                                   num_threads)));
         }
+        std::vector<Clk> &reads = store[read_.clk].reads;
         // Online analyses may grow the thread population after the
         // promotion to shared mode.
-        if (readVec_.size() <= static_cast<std::size_t>(t))
-            readVec_.resize(static_cast<std::size_t>(t) + 1, 0);
-        readVec_[static_cast<std::size_t>(t)] = c;
+        if (reads.size() <= static_cast<std::size_t>(t))
+            reads.resize(static_cast<std::size_t>(t) + 1, 0);
+        reads[static_cast<std::size_t>(t)] = c;
     }
 
     /**
@@ -63,58 +154,68 @@ class AccessHistory
      */
     template <typename ClockT, typename Fn>
     void
-    forEachUncoveredRead(const ClockT &clock, Fn &&on_race) const
+    forEachUncoveredRead(const ClockT &clock,
+                         const SharedReadStore &store,
+                         Fn &&on_race) const
     {
-        if (!shared_) {
-            if (!readEpoch_.coveredBy(clock))
-                on_race(readEpoch_);
+        if (!sharedReads()) {
+            if (!read_.coveredBy(clock))
+                on_race(read_);
             return;
         }
-        for (std::size_t u = 0; u < readVec_.size(); u++) {
-            if (readVec_[u] > clock.get(static_cast<Tid>(u)))
-                on_race(Epoch(static_cast<Tid>(u), readVec_[u]));
+        const std::vector<Clk> &reads = store[read_.clk].reads;
+        for (std::size_t u = 0; u < reads.size(); u++) {
+            if (reads[u] > clock.get(static_cast<Tid>(u)))
+                on_race(Epoch(static_cast<Tid>(u), reads[u]));
         }
     }
 
     /** Forget reads (performed after a write, as in FastTrack). */
     void
-    clearReads()
+    clearReads(SharedReadStore &store)
     {
-        readEpoch_ = Epoch();
-        if (shared_) {
-            shared_ = false;
-            readVec_.clear();
-        }
+        if (sharedReads())
+            store.release(read_.clk);
+        read_ = Epoch();
     }
 
-    bool sharedReads() const { return shared_; }
+    bool sharedReads() const { return read_.tid == kShared; }
 
     /**
      * True iff every recorded read is covered by thread @p t's
      * program order alone: no reads, or a single read epoch owned
      * by t. Write paths use it to skip the uncovered-read scan
-     * entirely (the same-epoch shortcut).
+     * entirely (the same-epoch shortcut). The shared tag is no
+     * thread, so a shared history is never owned.
      */
-    bool
-    readsOwnedBy(Tid t) const
-    {
-        return !shared_ && readEpoch_.ownedBy(t);
-    }
+    bool readsOwnedBy(Tid t) const { return read_.ownedBy(t); }
 
-    /** @name Checkpoint serialization (core/serial.hh) @{ */
+    /** @name Checkpoint serialization (core/serial.hh)
+     *
+     * The layout predates the store: last write, read epoch (the
+     * promoted one while shared), shared flag, read vector.
+     * @{ */
     void
-    serialize(ByteSink &out) const
+    serialize(ByteSink &out, const SharedReadStore &store) const
     {
         out.putI32(lastWrite_.tid);
         out.putU32(lastWrite_.clk);
-        out.putI32(readEpoch_.tid);
-        out.putU32(readEpoch_.clk);
-        out.putU8(shared_ ? 1 : 0);
-        out.putVec(readVec_);
+        if (!sharedReads()) {
+            out.putI32(read_.tid);
+            out.putU32(read_.clk);
+            out.putU8(0);
+            out.putU64(0); // the empty read vector
+            return;
+        }
+        const SharedReadStore::Entry &entry = store[read_.clk];
+        out.putI32(entry.promoted.tid);
+        out.putU32(entry.promoted.clk);
+        out.putU8(1);
+        out.putVec(entry.reads);
     }
 
     bool
-    deserialize(ByteSource &in)
+    deserialize(ByteSource &in, SharedReadStore &store)
     {
         Epoch last_write, read_epoch;
         std::uint8_t shared = 0;
@@ -125,21 +226,28 @@ class AccessHistory
             !in.getU32(read_epoch.clk) || !in.getU8(shared) ||
             !in.getVec(read_vec))
             return false;
-        if (shared > 1 || (shared == 0 && !read_vec.empty()))
+        // Thread ids below kNoTid are no thread (and one of them is
+        // the shared tag).
+        if (shared > 1 || (shared == 0 && !read_vec.empty()) ||
+            last_write.tid < kNoTid ||
+            (shared == 0 && read_epoch.tid < kNoTid))
             return in.fail();
         lastWrite_ = last_write;
-        readEpoch_ = read_epoch;
-        shared_ = shared != 0;
-        readVec_ = std::move(read_vec);
+        read_ = shared == 0 ? read_epoch
+                            : Epoch(kShared, store.adopt(
+                                                 read_epoch,
+                                                 std::move(read_vec)));
         return true;
     }
     /** @} */
 
   private:
+    /** Read-slot tid marking a shared history; the slot's clk is
+     * then the store index. No thread id, nor kNoTid. */
+    static constexpr Tid kShared = std::numeric_limits<Tid>::min();
+
     Epoch lastWrite_;
-    Epoch readEpoch_;
-    bool shared_ = false;
-    std::vector<Clk> readVec_;
+    Epoch read_;
 };
 
 /** Always-flat per-thread access history (epoch ablation). */

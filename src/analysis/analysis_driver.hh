@@ -12,17 +12,24 @@
  * the access-event rules (HbPolicy / ShbPolicy / MazPolicy in the
  * engine headers).
  *
- * Two consumption modes, one semantics:
+ * Three consumption modes, one semantics:
  *  - feed(e): event-at-a-time streaming. Id spaces grow on demand,
  *    results are inspectable mid-stream — this is the online mode
  *    (OnlineRaceDetector is exactly this driver with HbPolicy).
+ *  - feedWindow(w): a window of events. One pre-pass checks that
+ *    every id of the window already lies inside the sized state
+ *    (and that nothing in it can change the id mapping); then the
+ *    events run without per-event growth checks. A window that
+ *    fails the pre-pass goes through feed() event by event.
  *  - run(source) / run(trace): a reset, an upfront reservation of
- *    the declared id spaces, then a feed loop. run(EventSource&)
- *    never materializes the stream, so any engine × any clock
- *    analyzes traces larger than memory through the chunked file
- *    sources of trace/event_source.hh.
+ *    the declared id spaces, then a feedWindow loop.
+ *    run(EventSource&) never materializes the stream, so any
+ *    engine × any clock analyzes traces larger than memory through
+ *    the chunked file sources of trace/event_source.hh.
  *
- * Feeding a trace event-by-event and batch-running it produce
+ * feed() and feedWindow() share one per-event body, step(); they
+ * differ only in where the id growth happens. Feeding a trace
+ * event-by-event, window by window, and batch-running it produce
  * identical EngineResults for every policy and clock backend (the
  * streaming-equivalence test suite enforces this).
  */
@@ -30,6 +37,8 @@
 #ifndef TC_ANALYSIS_ANALYSIS_DRIVER_HH
 #define TC_ANALYSIS_ANALYSIS_DRIVER_HH
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "analysis/engine_support.hh"
@@ -67,10 +76,10 @@ class AnalysisDriver
     /**
      * Start a fresh run: drop all per-run state (the scratch arena
      * is retained) and pre-size the id spaces @p si declares. This
-     * is run() decomposed — begin(), a feed() per event, result() —
-     * for callers that interleave several drivers over one event
-     * stream (AnalysisPipeline) instead of letting one driver drain
-     * the source by itself.
+     * is run() decomposed — begin(), a feedWindow() per window (or
+     * a feed() per event), result() — for callers that interleave
+     * several drivers over one event stream (AnalysisPipeline)
+     * instead of letting one driver drain the source by itself.
      */
     void
     begin(const SourceInfo &si)
@@ -88,124 +97,34 @@ class AnalysisDriver
     void
     feed(const Event &e)
     {
-        // Grow all id spaces before taking references: emplacing a
-        // fork/join/lifecycle target would otherwise reallocate
-        // threads_ from under `ct`.
-        ensureThread(e.tid);
-        if (e.isFork() || e.isJoin() || e.isThreadJoin() ||
-            e.isThreadRetire())
-            ensureThread(e.targetTid());
-        if (e.isThreadCreate())
-            prepareCreate(e.tid, e.targetTid());
-        TC_CHECK(lifeState(e.tid) <= kLive,
-                 "feed: thread acts after being joined");
-        ClockT &ct = threads_[slotIndex(e.tid)];
-        const Clk c = ++local_[static_cast<std::size_t>(e.tid)];
-        ct.increment(1);
-        const std::size_t index =
-            static_cast<std::size_t>(eventsProcessed_++);
+        grow(e);
+        step(e);
+    }
 
-        switch (e.op) {
-          case OpType::Read:
-            ensureVar(e.var());
-            policy_.onRead(e, c, ct, threadsSeen(), races_);
-            break;
-          case OpType::Write:
-            ensureVar(e.var());
-            policy_.onWrite(e, c, ct, threadsSeen(), races_);
-            break;
-          case OpType::Acquire: {
-            ensureLock(e.lock());
-            LockState &lock =
-                locks_[static_cast<std::size_t>(e.lock())];
-            TC_CHECK(lock.holder == kNoTid,
-                     "feed: acquire of a held lock");
-            lock.holder = e.tid;
-            detail::joinClock(ct, lock.clock, cfg_);
-            break;
-          }
-          case OpType::Release: {
-            ensureLock(e.lock());
-            LockState &lock =
-                locks_[static_cast<std::size_t>(e.lock())];
-            TC_CHECK(lock.holder == e.tid,
-                     "feed: release by a non-holder");
-            lock.holder = kNoTid;
-            lock.clock.monotoneCopy(ct);
-            if (cfg_.deepChecks)
-                detail::deepCheck(lock.clock);
-            break;
-          }
-          case OpType::Fork: {
-            const Tid child = e.targetTid();
-            TC_CHECK(child != e.tid &&
-                         local_[static_cast<std::size_t>(child)] ==
-                             0 &&
-                         lifeState(child) == kNone,
-                     "feed: fork target already ran");
-            detail::joinClock(threads_[slotIndex(child)], ct, cfg_);
-            if (cfg_.deepChecks)
-                detail::deepCheck(threads_[slotIndex(child)]);
-            break;
-          }
-          case OpType::Join:
-            detail::joinClock(ct, threads_[slotIndex(e.targetTid())],
-                              cfg_);
-            break;
-          case OpType::ThreadCreate: {
-            // prepareCreate() already assigned the child its slot
-            // and reset its clock to the occupancy bias; what is
-            // left is the fork-like publish of the parent's clock.
-            // With a recycled slot the publish must descend fully
-            // (see TreeClock::joinFull): the child's synthetic root
-            // entry must not prune operand subtrees hanging under
-            // the slot's stale node.
-            ClockT &cc = threads_[slotIndex(e.targetTid())];
-            if constexpr (kUsesIdMap)
-                cc.joinFull(ct);
-            else
-                detail::joinClock(cc, ct, cfg_);
-            if (cfg_.deepChecks)
-                detail::deepCheck(cc);
-            break;
-          }
-          case OpType::ThreadJoin: {
-            const Tid child = e.targetTid();
-            TC_CHECK(child != e.tid, "feed: tjoin of self");
-            TC_CHECK(lifeState(child) == kLive,
-                     "feed: tjoin without tcreate");
-            lifeState_[static_cast<std::size_t>(child)] = kJoined;
-            detail::joinClock(ct, threads_[slotIndex(child)], cfg_);
-            break;
-          }
-          case OpType::ThreadRetire: {
-            const Tid child = e.targetTid();
-            TC_CHECK(lifeState(child) == kJoined,
-                     "feed: tretire without tjoin");
-            lifeState_[static_cast<std::size_t>(child)] = kRetired;
-            if constexpr (kUsesIdMap) {
-                // The slot becomes reusable at the thread's final
-                // raw value; its clock object is recycled in place
-                // by a later create's resetToRoot.
-                idMap_.retireExt(
-                    child, local_[static_cast<std::size_t>(child)]);
-            } else if constexpr (requires(ClockT &cl) {
-                                     cl.release();
-                                 }) {
-                // Flat clocks cannot recycle the id space; all the
-                // retire path can reclaim is the dead thread's own
-                // vector (see VectorClock::release).
-                threads_[slotIndex(child)].release();
-            }
-            break;
-          }
+    /**
+     * Process @p window in order — the same as feed() per event.
+     * When every id in the window already lies inside the sized
+     * state, the window holds no lifecycle op and the id map is
+     * inactive, the per-event growth is skipped: it would change
+     * nothing but the met-id marks, which are set here instead.
+     * Any other window is fed event by event.
+     */
+    void
+    feedWindow(const EventWindow &window)
+    {
+        std::size_t width = 0;
+        if (!sized(window, width)) {
+            for (const Event &e : window)
+                feed(e);
+            return;
         }
-
-        if (cfg_.deepChecks)
-            detail::deepCheck(ct);
-        if (cfg_.onTimestamp)
-            cfg_.onTimestamp(index, e,
-                             ct.toVector(timestampWidth()));
+        for (const Event &e : window) {
+            seen_[static_cast<std::size_t>(e.tid)] = 1;
+            if (e.isFork() || e.isJoin())
+                seen_[e.target] = 1;
+            step(e);
+        }
+        extSeen_ = std::max(extSeen_, width);
     }
 
     /**
@@ -219,13 +138,17 @@ class AnalysisDriver
         begin({trace.numThreads(), trace.numLocks(),
                trace.numVars(), trace.size(),
                trace.hasLifecycle()});
-        for (std::size_t i = 0; i < trace.size(); i++)
-            feed(trace[i]);
+        for (std::size_t i = 0; i < trace.size();
+             i += kDefaultSourceWindow) {
+            const std::size_t n =
+                std::min(kDefaultSourceWindow, trace.size() - i);
+            feedWindow({&trace[i], n});
+        }
         return result();
     }
 
     /**
-     * Streaming mode: drain @p source through feed() without ever
+     * Streaming mode: drain @p source through feedWindow() without ever
      * materializing the event sequence. The source is consumed
      * from its *current* position (streams may be non-seekable) —
      * pass a fresh source or rewind() first, or an already-drained
@@ -254,10 +177,8 @@ class AnalysisDriver
         EventWindow window;
         while (!(window = source.readWindow(
                      storage, kDefaultSourceWindow))
-                    .empty()) {
-            for (const Event &e : window)
-                feed(e);
-        }
+                    .empty())
+            feedWindow(window);
         return result();
     }
 
@@ -547,6 +468,7 @@ class AnalysisDriver
         races_ = RaceSummary(0, cfg_.maxReports);
         eventsProcessed_ = 0;
         declaredThreads_ = 0;
+        varsSized_ = 0;
     }
 
     /** Pre-size the id spaces a header declares (batch/stream
@@ -580,6 +502,177 @@ class AnalysisDriver
             detail::configureClock(l.clock, cfg_, &arena_);
         policy_.reserveVars(si.vars, si.threads);
         races_.growVars(si.vars);
+        varsSized_ = static_cast<std::size_t>(si.vars);
+    }
+
+    /** The id growth of feed(): cover every id @p e names, and run
+     * the tcreate prologue. Runs before step() takes references
+     * into threads_ (a grown bank may reallocate). */
+    void
+    grow(const Event &e)
+    {
+        ensureThread(e.tid);
+        if (e.isFork() || e.isJoin() || e.isThreadJoin() ||
+            e.isThreadRetire())
+            ensureThread(e.targetTid());
+        if (e.isThreadCreate())
+            prepareCreate(e.tid, e.targetTid());
+        if (e.isAccess())
+            ensureVar(e.var());
+        else if (e.isAcquire() || e.isRelease())
+            ensureLock(e.lock());
+    }
+
+    /**
+     * feedWindow()'s pre-pass: true iff every thread, fork/join
+     * target, variable and lock of @p window is already covered by
+     * the sized state, no event is a lifecycle op, and the id map
+     * is inactive (so slots are external ids). Sets @p width to
+     * the largest thread id met + 1. Ids are compared unsigned, so
+     * a negative id is out of bounds too.
+     */
+    bool
+    sized(const EventWindow &window, std::size_t &width) const
+    {
+        if constexpr (kUsesIdMap) {
+            if (idMap_.active())
+                return false;
+        }
+        const auto threads = static_cast<std::uint32_t>(
+            std::min(local_.size(), threads_.size()));
+        const auto vars = static_cast<std::uint32_t>(varsSized_);
+        const auto locks = static_cast<std::uint32_t>(locks_.size());
+        // Bound on the target by op code; 0 rejects (lifecycle).
+        const std::array<std::uint32_t, kMaxOpV2 + 1> bound = {
+            vars, vars, locks, locks, threads, threads, 0, 0, 0};
+        bool ok = true;
+        std::uint32_t top = 0;
+        for (const Event &e : window) {
+            const auto tid = static_cast<std::uint32_t>(e.tid);
+            const std::uint32_t op = static_cast<std::uint8_t>(e.op);
+            ok &= tid < threads && e.target < bound[op];
+            top = std::max(top, tid);
+            if (e.isFork() || e.isJoin())
+                top = std::max(top, e.target);
+        }
+        width = static_cast<std::size_t>(top) + 1;
+        return ok;
+    }
+
+    /**
+     * The per-event rules, once every id of @p e is covered (by
+     * grow() or feedWindow()'s pre-pass): advance the thread, apply
+     * the sync rules or the policy's access rules. Lifecycle state
+     * and lock protocol are checked here.
+     */
+    void
+    step(const Event &e)
+    {
+        TC_CHECK(lifeState(e.tid) <= kLive,
+                 "feed: thread acts after being joined");
+        ClockT &ct = threads_[slotIndex(e.tid)];
+        const Clk c = ++local_[static_cast<std::size_t>(e.tid)];
+        ct.increment(1);
+        const std::size_t index =
+            static_cast<std::size_t>(eventsProcessed_++);
+
+        switch (e.op) {
+          case OpType::Read:
+            policy_.onRead(e, c, ct, threadsSeen(), races_);
+            break;
+          case OpType::Write:
+            policy_.onWrite(e, c, ct, threadsSeen(), races_);
+            break;
+          case OpType::Acquire: {
+            LockState &lock =
+                locks_[static_cast<std::size_t>(e.lock())];
+            TC_CHECK(lock.holder == kNoTid,
+                     "feed: acquire of a held lock");
+            lock.holder = e.tid;
+            detail::joinClock(ct, lock.clock, cfg_);
+            break;
+          }
+          case OpType::Release: {
+            LockState &lock =
+                locks_[static_cast<std::size_t>(e.lock())];
+            TC_CHECK(lock.holder == e.tid,
+                     "feed: release by a non-holder");
+            lock.holder = kNoTid;
+            lock.clock.monotoneCopy(ct);
+            if (cfg_.deepChecks)
+                detail::deepCheck(lock.clock);
+            break;
+          }
+          case OpType::Fork: {
+            const Tid child = e.targetTid();
+            TC_CHECK(child != e.tid &&
+                         local_[static_cast<std::size_t>(child)] ==
+                             0 &&
+                         lifeState(child) == kNone,
+                     "feed: fork target already ran");
+            detail::joinClock(threads_[slotIndex(child)], ct, cfg_);
+            if (cfg_.deepChecks)
+                detail::deepCheck(threads_[slotIndex(child)]);
+            break;
+          }
+          case OpType::Join:
+            detail::joinClock(ct, threads_[slotIndex(e.targetTid())],
+                              cfg_);
+            break;
+          case OpType::ThreadCreate: {
+            // prepareCreate() already assigned the child its slot
+            // and reset its clock to the occupancy bias; what is
+            // left is the fork-like publish of the parent's clock.
+            // With a recycled slot the publish must descend fully
+            // (see TreeClock::joinFull): the child's synthetic root
+            // entry must not prune operand subtrees hanging under
+            // the slot's stale node.
+            ClockT &cc = threads_[slotIndex(e.targetTid())];
+            if constexpr (kUsesIdMap)
+                cc.joinFull(ct);
+            else
+                detail::joinClock(cc, ct, cfg_);
+            if (cfg_.deepChecks)
+                detail::deepCheck(cc);
+            break;
+          }
+          case OpType::ThreadJoin: {
+            const Tid child = e.targetTid();
+            TC_CHECK(child != e.tid, "feed: tjoin of self");
+            TC_CHECK(lifeState(child) == kLive,
+                     "feed: tjoin without tcreate");
+            lifeState_[static_cast<std::size_t>(child)] = kJoined;
+            detail::joinClock(ct, threads_[slotIndex(child)], cfg_);
+            break;
+          }
+          case OpType::ThreadRetire: {
+            const Tid child = e.targetTid();
+            TC_CHECK(lifeState(child) == kJoined,
+                     "feed: tretire without tjoin");
+            lifeState_[static_cast<std::size_t>(child)] = kRetired;
+            if constexpr (kUsesIdMap) {
+                // The slot becomes reusable at the thread's final
+                // raw value; its clock object is recycled in place
+                // by a later create's resetToRoot.
+                idMap_.retireExt(
+                    child, local_[static_cast<std::size_t>(child)]);
+            } else if constexpr (requires(ClockT &cl) {
+                                     cl.release();
+                                 }) {
+                // Flat clocks cannot recycle the id space; all the
+                // retire path can reclaim is the dead thread's own
+                // vector (see VectorClock::release).
+                threads_[slotIndex(child)].release();
+            }
+            break;
+          }
+        }
+
+        if (cfg_.deepChecks)
+            detail::deepCheck(ct);
+        if (cfg_.onTimestamp)
+            cfg_.onTimestamp(index, e,
+                             ct.toVector(timestampWidth()));
     }
 
     /** Grow the externally indexed per-thread state to cover @p t. */
@@ -686,6 +779,8 @@ class AnalysisDriver
         TC_CHECK(x >= 0, "negative variable id");
         policy_.ensureVar(x, threadsSeen());
         races_.growVars(x + 1);
+        varsSized_ =
+            std::max(varsSized_, static_cast<std::size_t>(x) + 1);
     }
 
     EngineConfig cfg_;
@@ -716,6 +811,9 @@ class AnalysisDriver
     RaceSummary races_;
     std::uint64_t eventsProcessed_ = 0;
     std::size_t declaredThreads_ = 0;
+    /** Variables [0, varsSized_) are covered by the policy and the
+     * race summary (reserve() and ensureVar() grow both). */
+    std::size_t varsSized_ = 0;
 };
 
 } // namespace tc

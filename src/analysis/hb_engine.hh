@@ -54,6 +54,7 @@ class HbPolicy
     reset()
     {
         vars_.clear();
+        shared_.clear();
         flat_.clear();
     }
 
@@ -104,7 +105,7 @@ class HbPolicy
             const Epoch w = v.lastWrite();
             if (!w.ownedBy(e.tid) && !w.coveredBy(ct))
                 races.record(e.var(), RaceKind::WriteRead, w, cur);
-            v.recordRead(e.tid, c, ct, num_threads);
+            v.recordRead(e.tid, c, ct, num_threads, shared_);
         } else {
             FlatAccessHistory &v =
                 flat_[static_cast<std::size_t>(e.var())];
@@ -133,19 +134,19 @@ class HbPolicy
             if (v.lastWrite().ownedBy(e.tid) &&
                 v.readsOwnedBy(e.tid)) {
                 v.setLastWrite(cur);
-                v.clearReads();
+                v.clearReads(shared_);
                 return;
             }
             if (!v.lastWrite().coveredBy(ct)) {
                 races.record(e.var(), RaceKind::WriteWrite,
                              v.lastWrite(), cur);
             }
-            v.forEachUncoveredRead(ct, [&](Epoch prior) {
+            v.forEachUncoveredRead(ct, shared_, [&](Epoch prior) {
                 races.record(e.var(), RaceKind::ReadWrite, prior,
                              cur);
             });
             v.setLastWrite(cur);
-            v.clearReads();
+            v.clearReads(shared_);
         } else {
             FlatAccessHistory &v =
                 flat_[static_cast<std::size_t>(e.var())];
@@ -169,7 +170,7 @@ class HbPolicy
     {
         out.putU64(vars_.size());
         for (const AccessHistory &v : vars_)
-            v.serialize(out);
+            v.serialize(out, shared_);
         out.putU64(flat_.size());
         for (const FlatAccessHistory &v : flat_)
             v.serialize(out);
@@ -182,9 +183,10 @@ class HbPolicy
         if (!in.getU64(n) || n > in.remaining())
             return in.fail();
         vars_.clear();
+        shared_.clear();
         vars_.resize(static_cast<std::size_t>(n));
         for (AccessHistory &v : vars_)
-            if (!v.deserialize(in))
+            if (!v.deserialize(in, shared_))
                 return false;
         if (!in.getU64(n) || n > in.remaining())
             return in.fail();
@@ -200,6 +202,8 @@ class HbPolicy
   private:
     const EngineConfig *cfg_ = nullptr;
     std::vector<AccessHistory> vars_;
+    /** Read vectors of the vars_ histories with shared reads. */
+    SharedReadStore shared_;
     std::vector<FlatAccessHistory> flat_;
 };
 

@@ -11,9 +11,10 @@
  * (the pipeline test suite pins this).
  *
  * AnalysisConsumer is the type-erased face of the driver: begin()
- * maps to AnalysisDriver::begin(), consume() to feed(), result() to
- * result(). DriverConsumer adapts any driver instantiation; custom
- * consumers (statistics, timestamp dumpers, ...) just implement the
+ * maps to AnalysisDriver::begin(), consume() to feed(),
+ * consumeWindow() to feedWindow(), result() to result().
+ * DriverConsumer adapts any driver instantiation; custom consumers
+ * (statistics, timestamp dumpers, ...) just implement the
  * interface.
  *
  * Two execution modes, one semantics: run(source) interleaves the
@@ -118,6 +119,11 @@ class DriverConsumer final : public AnalysisConsumer
     }
 
     void consume(const Event &e) override { driver_.feed(e); }
+    void
+    consumeWindow(const EventWindow &window) override
+    {
+        driver_.feedWindow(window);
+    }
     EngineResult result() const override
     {
         return driver_.result();

@@ -39,7 +39,12 @@ class ShbPolicy
         arena_ = arena;
     }
 
-    void reset() { vars_.clear(); }
+    void
+    reset()
+    {
+        vars_.clear();
+        shared_.clear();
+    }
 
     void
     reserveVars(VarId n, Tid /*threads_hint*/)
@@ -76,7 +81,7 @@ class ShbPolicy
         }
         detail::joinClock(ct, v.lastWriteClock, *cfg_);
         if (owns)
-            v.history.recordRead(e.tid, c, ct, num_threads);
+            v.history.recordRead(e.tid, c, ct, num_threads, shared_);
     }
 
     void
@@ -91,10 +96,11 @@ class ShbPolicy
                 races.record(e.var(), RaceKind::WriteWrite,
                              v.history.lastWrite(), cur);
             }
-            v.history.forEachUncoveredRead(ct, [&](Epoch prior) {
-                races.record(e.var(), RaceKind::ReadWrite, prior,
-                             cur);
-            });
+            v.history.forEachUncoveredRead(
+                ct, shared_, [&](Epoch prior) {
+                    races.record(e.var(), RaceKind::ReadWrite, prior,
+                                 cur);
+                });
         }
         if (cfg_->alwaysDeepCopy)
             v.lastWriteClock.deepCopy(ct);
@@ -102,7 +108,7 @@ class ShbPolicy
             v.lastWriteClock.copyCheckMonotone(ct);
         if (owns) {
             v.history.setLastWrite(Epoch(e.tid, c));
-            v.history.clearReads();
+            v.history.clearReads(shared_);
         }
         if (cfg_->deepChecks)
             detail::deepCheck(v.lastWriteClock);
@@ -115,7 +121,7 @@ class ShbPolicy
         out.putU64(vars_.size());
         for (const VarState &v : vars_) {
             v.lastWriteClock.serialize(out);
-            v.history.serialize(out);
+            v.history.serialize(out, shared_);
         }
     }
 
@@ -126,13 +132,14 @@ class ShbPolicy
         if (!in.getU64(n) || n > in.remaining())
             return in.fail();
         vars_.clear();
+        shared_.clear();
         for (std::uint64_t i = 0; i < n; i++) {
             vars_.emplace_back();
             VarState &v = vars_.back();
             detail::configureClock(v.lastWriteClock, *cfg_,
                                    arena_);
             if (!v.lastWriteClock.deserialize(in) ||
-                !v.history.deserialize(in))
+                !v.history.deserialize(in, shared_))
                 return false;
         }
         return true;
@@ -149,6 +156,8 @@ class ShbPolicy
     const EngineConfig *cfg_ = nullptr;
     ScratchArena *arena_ = nullptr;
     std::vector<VarState> vars_;
+    /** Read vectors of the histories with shared reads. */
+    SharedReadStore shared_;
 };
 
 /** Algorithm 4: the driver instantiated with the SHB rules. */

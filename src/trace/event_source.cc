@@ -55,6 +55,24 @@ parseOp(const std::string &text, OpType &out)
     return true;
 }
 
+/** Bytes from the read position of @p is to its end, or UINT64_MAX
+ * when the stream cannot seek (a pipe). Leaves the position as it
+ * was. */
+std::uint64_t
+bytesLeft(std::istream &is)
+{
+    const std::istream::pos_type here = is.tellg();
+    if (here == std::istream::pos_type(-1))
+        return UINT64_MAX;
+    std::uint64_t left = UINT64_MAX;
+    const auto end = is.seekg(0, std::ios::end).tellg();
+    if (end != std::istream::pos_type(-1))
+        left = static_cast<std::uint64_t>(end - here);
+    is.clear();
+    is.seekg(here);
+    return left;
+}
+
 /** Streaming reader over the text format: one line in memory at a
  * time, header parsed eagerly so info() is valid upfront. */
 class TextEventSource final : public EventSource
@@ -142,9 +160,20 @@ class TextEventSource final : public EventSource
                      "vars <nv>");
                 return;
             }
-            info_.threads = static_cast<Tid>(k);
-            info_.locks = static_cast<LockId>(nl);
-            info_.vars = static_cast<VarId>(nv);
+            // Header counts are hints that consumers reserve by, so
+            // promise no more ids than the event lines after the
+            // header can name: each takes at least 6 bytes ("0 w 1"
+            // and a newline, which the last line may lack). A
+            // stream of unknown size promises none; consumers grow
+            // past the hints on demand.
+            const std::uint64_t bytes = bytesLeft(*is_);
+            std::int64_t lines = 0;
+            if (bytes != UINT64_MAX)
+                lines = static_cast<std::int64_t>(std::min<std::uint64_t>(
+                    (bytes + 1) / 6, INT32_MAX));
+            info_.threads = static_cast<Tid>(std::min(k, lines));
+            info_.locks = static_cast<LockId>(std::min(nl, lines));
+            info_.vars = static_cast<VarId>(std::min(nv, lines));
             return;
         }
         fail(line_, "missing header line");
@@ -364,15 +393,8 @@ class BinaryEventSource final : public EventSource
         is_->read(reinterpret_cast<char *>(head), sizeof(head));
         const auto got = static_cast<std::size_t>(is_->gcount());
         // Payload bytes, when the stream can seek to its end.
-        std::uint64_t payload = UINT64_MAX;
-        const std::istream::pos_type here = is_->tellg();
-        if (got == sizeof(head) && here != std::istream::pos_type(-1)) {
-            const auto end = is_->seekg(0, std::ios::end).tellg();
-            if (end != std::istream::pos_type(-1))
-                payload = static_cast<std::uint64_t>(end - here);
-            is_->clear();
-            is_->seekg(here);
-        }
+        const std::uint64_t payload =
+            got == sizeof(head) ? bytesLeft(*is_) : UINT64_MAX;
         if (const char *error = parseBinaryHeader(
                 head, got, payload, info_, declared_, maxOp_))
             fail(0, error);

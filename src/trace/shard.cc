@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <limits>
 #include <mutex>
 #include <thread>
@@ -518,10 +519,27 @@ openShardReaders(
             prefix.c_str(), static_cast<unsigned long long>(sum),
             static_cast<unsigned long long>(first.totalEvents));
     }
-    info.threads = static_cast<Tid>(first.threads);
-    info.locks = static_cast<LockId>(first.locks);
-    info.vars = static_cast<VarId>(first.vars);
-    info.events = first.totalEvents;
+    // Header counts are hints that consumers reserve by, so
+    // promise no more events, nor ids, than the set's records can
+    // back; consumers grow past the hints on demand. Delivery goes
+    // by each shard's own count, so a short set still fails as
+    // truncated.
+    std::uint64_t records = 0;
+    for (const auto &r : readers) {
+        std::error_code ec;
+        const std::uint64_t bytes =
+            std::filesystem::file_size(r->path(), ec);
+        if (!ec && bytes > kShardHeaderBytes)
+            records += (bytes - kShardHeaderBytes) / kShardRecordBytes;
+    }
+    auto hint = [records](std::uint32_t ids) {
+        return static_cast<std::int32_t>(
+            std::min<std::uint64_t>({ids, records, INT32_MAX}));
+    };
+    info.threads = hint(first.threads);
+    info.locks = hint(first.locks);
+    info.vars = hint(first.vars);
+    info.events = std::min(first.totalEvents, records);
     info.lifecycle = first.version >= 2;
     return {};
 }

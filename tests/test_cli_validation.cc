@@ -69,13 +69,15 @@ clearDir(const std::string &dir)
     }
 }
 
+/** Run @p command_line (a CLI and its arguments) from the build
+ * directory, capturing its output. */
 CliRun
-runDetector(const std::string &args)
+runTool(const std::string &command_line)
 {
     const std::string out = kWorkDir + "/out.txt";
     const std::string err = kWorkDir + "/err.txt";
     const std::string command =
-        "./race_detector " + args + " > " + out + " 2> " + err;
+        command_line + " > " + out + " 2> " + err;
     const int status = std::system(command.c_str());
     CliRun run;
     run.signaled = status == -1 || WIFSIGNALED(status) ||
@@ -85,6 +87,12 @@ runDetector(const std::string &args)
     run.out = readFile(out);
     run.err = readFile(err);
     return run;
+}
+
+CliRun
+runDetector(const std::string &args)
+{
+    return runTool("./race_detector " + args);
 }
 
 /** The per-analysis report blocks ("--- hb/tc ---" onward). */
@@ -429,16 +437,39 @@ TEST_F(CliValidation, ResumeRevalidatesTheSkippedPrefix)
 }
 
 /**
- * Header counts are hints. A tiny .tcb (one declared event, then
- * three bytes of a torn record) with each header field in turn set
- * to a huge value must stop as a truncated stream, exit 3, in every
- * read mode, and never by a signal: nothing the header sizes may
- * allocate past the bytes behind it. The memory-capped CI leg
- * reruns this suite where overcommit cannot hide such an
- * allocation.
+ * Header counts are hints. A tiny trace whose header declares a
+ * huge id space (or event count) must stop at its torn last record,
+ * exit 3, in every read mode, and never by a signal: nothing the
+ * header sizes may allocate past the bytes behind it. Covered: a
+ * .tcb of one declared event and three bytes of a torn record; a
+ * .tct of one event line and a torn one; a 59-byte one-shard .tcs
+ * holding one 17-byte record but declaring two events (or 2^40,
+ * which trace_tool's whole-trace load must not reserve either).
+ * The memory-capped CI leg reruns this suite where overcommit
+ * cannot hide such an allocation.
  */
 TEST_F(CliValidation, HugeHeaderCountsExitThree)
 {
+    auto expect_exit_three = [](const std::string &file,
+                                const std::string &label,
+                                const std::string &error) {
+        for (const char *mode : {"", " --parallel", " --io=stream",
+                                 " --shard-analysis=2"}) {
+            const CliRun run =
+                runDetector("--trace=" + file + kAnalyses + mode);
+            ASSERT_FALSE(run.signaled)
+                << label << mode << ": " << run.err;
+            EXPECT_EQ(run.exitCode, 3)
+                << label << mode << ": " << run.err;
+            EXPECT_EQ(run.err, error) << label << mode;
+        }
+    };
+    auto label = [](const char *format, const char *field,
+                    std::uint64_t value) {
+        return strFormat("%s %s=%llu", format, field,
+                         static_cast<unsigned long long>(value));
+    };
+
     struct Field
     {
         const char *name;
@@ -451,7 +482,7 @@ TEST_F(CliValidation, HugeHeaderCountsExitThree)
                             {"events", 18, 8}};
     const std::uint64_t values[] = {(1ull << 31) - 1, (1ull << 32) - 1,
                                     1ull << 40};
-    const std::string file = kWorkDir + "/huge_header.tcb";
+    const std::string tcb = kWorkDir + "/huge_header.tcb";
     for (const Field &field : fields) {
         for (const std::uint64_t value : values) {
             if (field.width == 4 && value > UINT32_MAX)
@@ -474,22 +505,69 @@ TEST_F(CliValidation, HugeHeaderCountsExitThree)
                               8);
             }
             ASSERT_EQ(bytes.size(), 29u);
-            std::ofstream(file, std::ios::binary) << bytes;
-            for (const char *mode : {"", " --parallel", " --io=stream",
-                                     " --shard-analysis=2"}) {
-                const std::string label =
-                    strFormat("%s=%llu%s", field.name,
-                              static_cast<unsigned long long>(value),
-                              mode);
-                const CliRun run =
-                    runDetector("--trace=" + file + kAnalyses + mode);
-                ASSERT_FALSE(run.signaled) << label << ": " << run.err;
-                EXPECT_EQ(run.exitCode, 3) << label << ": " << run.err;
-                EXPECT_EQ(run.err,
-                          "error: truncated event stream at event 0\n")
-                    << label;
-            }
+            std::ofstream(tcb, std::ios::binary) << bytes;
+            expect_exit_three(
+                tcb, label("tcb", field.name, value),
+                "error: truncated event stream at event 0\n");
         }
+    }
+
+    const std::string tcs = kWorkDir + "/huge_header.0.tcs";
+    // ids: threads, locks, vars; events: the shard's and the set's.
+    auto write_tcs = [&tcs](const std::uint64_t (&ids)[3],
+                            std::uint64_t events) {
+        const std::uint32_t words[5] = {
+            0, 1, static_cast<std::uint32_t>(ids[0]),
+            static_cast<std::uint32_t>(ids[1]),
+            static_cast<std::uint32_t>(ids[2])};
+        const std::uint64_t counts[2] = {events, events};
+        const std::uint64_t seq = 0;
+        const std::int32_t tid = 0;
+        const std::uint32_t var = 1;
+        std::string bytes("TCSH2\0", 6);
+        bytes.append(reinterpret_cast<const char *>(words),
+                     sizeof(words));
+        bytes.append(reinterpret_cast<const char *>(counts),
+                     sizeof(counts));
+        bytes.append(reinterpret_cast<const char *>(&seq), 8);
+        bytes.append(reinterpret_cast<const char *>(&tid), 4);
+        bytes.append(reinterpret_cast<const char *>(&var), 4);
+        bytes.push_back(static_cast<char>(OpType::Write));
+        ASSERT_EQ(bytes.size(), 59u);
+        std::ofstream(tcs, std::ios::binary) << bytes;
+    };
+    const std::string tcs_error =
+        "error: " + tcs + ": truncated shard at event 1\n";
+
+    const char *const id_fields[] = {"threads", "locks", "vars"};
+    const std::uint64_t huge_ids[] = {(1ull << 31) - 1,
+                                      (1ull << 32) - 1};
+    const std::string tct = kWorkDir + "/huge_header.tct";
+    for (std::size_t f = 0; f < 3; f++) {
+        for (const std::uint64_t value : huge_ids) {
+            std::uint64_t ids[3] = {2, 1, 2};
+            ids[f] = value;
+            std::ofstream(tct)
+                << "threads " << ids[0] << " locks " << ids[1]
+                << " vars " << ids[2] << "\n0 w 1\n1 w\n";
+            expect_exit_three(
+                tct, label("tct", id_fields[f], value),
+                "error: expected: <tid> <op> <target> (line 3)\n");
+            write_tcs(ids, 2);
+            expect_exit_three(tcs, label("tcs", id_fields[f], value),
+                              tcs_error);
+        }
+    }
+    for (const std::uint64_t events : {2ull, 1ull << 40}) {
+        write_tcs({2, 1, 2}, events);
+        const std::string what = label("tcs", "events", events);
+        expect_exit_three(tcs, what, tcs_error);
+        const CliRun sliced = runTool("./trace_tool slice " + tcs +
+                                      " " + kWorkDir +
+                                      "/sliced.tct --vars=1");
+        ASSERT_FALSE(sliced.signaled) << what << ": " << sliced.err;
+        EXPECT_EQ(sliced.exitCode, 3) << what << ": " << sliced.err;
+        EXPECT_EQ(sliced.err, tcs_error) << what;
     }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/access_history.hh"
+#include "core/serial.hh"
 #include "core/tree_clock.hh"
 #include "core/vector_clock.hh"
 
@@ -46,63 +47,67 @@ TEST(Epoch, WorksWithTreeClocksToo)
 TEST(AccessHistory, ExclusiveReadEpochWhileOrdered)
 {
     AccessHistory h;
+    SharedReadStore store;
     TreeClock c0(0, 4), c1(1, 4);
     c0.increment(1);
-    h.recordRead(0, 1, c0, 4);
+    h.recordRead(0, 1, c0, 4, store);
     EXPECT_FALSE(h.sharedReads());
 
     // t1 has seen t0's read: stays exclusive, epoch transfers.
     c1.increment(1);
     c1.join(c0);
     c1.increment(1);
-    h.recordRead(1, 3, c1, 4);
+    h.recordRead(1, 3, c1, 4, store);
     EXPECT_FALSE(h.sharedReads());
 }
 
 TEST(AccessHistory, PromotesToSharedOnConcurrentReads)
 {
     AccessHistory h;
+    SharedReadStore store;
     TreeClock c0(0, 4), c1(1, 4);
     c0.increment(1);
     c1.increment(1);
-    h.recordRead(0, 1, c0, 4);
-    h.recordRead(1, 1, c1, 4); // concurrent with t0's read
+    h.recordRead(0, 1, c0, 4, store);
+    h.recordRead(1, 1, c1, 4, store); // concurrent with t0's read
     EXPECT_TRUE(h.sharedReads());
 
     // Both reads must now be visible to the write check.
     TreeClock writer(2, 4);
     writer.increment(1);
     int uncovered = 0;
-    h.forEachUncoveredRead(writer, [&](Epoch) { uncovered++; });
+    h.forEachUncoveredRead(writer, store, [&](Epoch) { uncovered++; });
     EXPECT_EQ(uncovered, 2);
 }
 
 TEST(AccessHistory, SameThreadReReadStaysExclusive)
 {
     AccessHistory h;
+    SharedReadStore store;
     TreeClock c0(0, 2);
     c0.increment(1);
-    h.recordRead(0, 1, c0, 2);
+    h.recordRead(0, 1, c0, 2, store);
     c0.increment(1);
-    h.recordRead(0, 2, c0, 2);
+    h.recordRead(0, 2, c0, 2, store);
     EXPECT_FALSE(h.sharedReads());
 }
 
 TEST(AccessHistory, ClearReadsResets)
 {
     AccessHistory h;
+    SharedReadStore store;
     TreeClock c0(0, 4), c1(1, 4);
     c0.increment(1);
     c1.increment(1);
-    h.recordRead(0, 1, c0, 4);
-    h.recordRead(1, 1, c1, 4);
+    h.recordRead(0, 1, c0, 4, store);
+    h.recordRead(1, 1, c1, 4, store);
     EXPECT_TRUE(h.sharedReads());
-    h.clearReads();
+    h.clearReads(store);
     EXPECT_FALSE(h.sharedReads());
     TreeClock writer(2, 4);
     writer.increment(1);
     int uncovered = 0;
-    h.forEachUncoveredRead(writer, [&](Epoch) { uncovered++; });
+    h.forEachUncoveredRead(writer, store, [&](Epoch) { uncovered++; });
     EXPECT_EQ(uncovered, 0);
 }
 
@@ -112,6 +117,77 @@ TEST(AccessHistory, LastWriteEpochStored)
     EXPECT_TRUE(h.lastWrite().isNone());
     h.setLastWrite(Epoch(3, 7));
     EXPECT_EQ(h.lastWrite(), Epoch(3, 7));
+}
+
+// A history is two epochs; shared read vectors live in the store.
+static_assert(sizeof(AccessHistory) == 16);
+
+TEST(AccessHistory, ClearedSharedReadsAreReusedByTheNextPromotion)
+{
+    SharedReadStore store;
+    AccessHistory a, b;
+    TreeClock c0(0, 4), c1(1, 4);
+    c0.increment(1);
+    c1.increment(1);
+    a.recordRead(0, 1, c0, 4, store);
+    a.recordRead(1, 1, c1, 4, store);
+    ASSERT_TRUE(a.sharedReads());
+    EXPECT_EQ(store.capacity(), 1u);
+
+    a.clearReads(store);
+    EXPECT_FALSE(a.sharedReads());
+    b.recordRead(0, 1, c0, 4, store);
+    b.recordRead(1, 1, c1, 4, store);
+    ASSERT_TRUE(b.sharedReads());
+    EXPECT_EQ(store.capacity(), 1u); // the released slot, reused
+
+    // The reused vector starts clean: only b's two reads show.
+    TreeClock writer(2, 4);
+    writer.increment(1);
+    std::vector<Epoch> uncovered;
+    b.forEachUncoveredRead(writer, store,
+                           [&](Epoch e) { uncovered.push_back(e); });
+    EXPECT_EQ(uncovered,
+              (std::vector<Epoch>{Epoch(0, 1), Epoch(1, 1)}));
+}
+
+TEST(AccessHistory, SharedSerializationKeepsTheCheckpointLayout)
+{
+    SharedReadStore store;
+    AccessHistory h;
+    TreeClock c0(0, 3), c1(1, 3), c2(2, 3);
+    c0.increment(2);
+    c1.increment(1);
+    c2.increment(1);
+    h.setLastWrite(Epoch(2, 1));
+    h.recordRead(0, 2, c0, 3, store);
+    h.recordRead(1, 1, c1, 3, store); // promotes t0's 2@t0
+    c0.increment(1);
+    h.recordRead(0, 3, c0, 3, store); // past the promoted epoch
+    ASSERT_TRUE(h.sharedReads());
+
+    // Last write, the (stale) promoted read epoch, the shared flag,
+    // then the per-thread read vector.
+    ByteSink expected;
+    expected.putI32(2);
+    expected.putU32(1);
+    expected.putI32(0);
+    expected.putU32(2);
+    expected.putU8(1);
+    expected.putVec(std::vector<Clk>{3, 1, 0});
+    ByteSink out;
+    h.serialize(out, store);
+    EXPECT_EQ(out.bytes(), expected.bytes());
+
+    // ... and it restores into a fresh store.
+    SharedReadStore other;
+    AccessHistory back;
+    ByteSource in(out.bytes());
+    ASSERT_TRUE(back.deserialize(in, other));
+    EXPECT_TRUE(back.sharedReads());
+    ByteSink again;
+    back.serialize(again, other);
+    EXPECT_EQ(again.bytes(), expected.bytes());
 }
 
 TEST(FlatAccessHistory, TracksPerThreadAccesses)
