@@ -9,11 +9,11 @@
  * Every benchmark reports a heap_allocs counter — allocations (via
  * the alloc_hook.cc global operator new) performed inside the
  * measured loop (per copy for BM_FirstCopy, whose loop creates a
- * clock; per window for BM_HbFeedWindow). The steady-state
- * join/copy benchmarks must report 0: the clock hot paths reuse
- * their scratch and never allocate once warmed. So must
- * BM_HbFeedWindow, the same gate one layer up: the HB engine's
- * per-event work over already-sized state. Pass --json <path> for
+ * clock; per window for BM_{Hb,Shb,Maz}FeedWindow). The
+ * steady-state join/copy benchmarks must report 0: the clock hot
+ * paths reuse their scratch and never allocate once warmed. So must
+ * the FeedWindow benchmarks, the same gate one layer up: each
+ * engine's per-event work over already-sized state. Pass --json <path> for
  * a machine-readable report (BENCH_baseline.json is generated this
  * way).
  */
@@ -26,6 +26,8 @@
 #include <vector>
 
 #include "analysis/hb_engine.hh"
+#include "analysis/maz_engine.hh"
+#include "analysis/shb_engine.hh"
 #include "bench_common.hh"
 #include "core/tree_clock.hh"
 #include "core/vector_clock.hh"
@@ -238,17 +240,17 @@ BM_FirstCopy(benchmark::State &state)
 }
 
 /**
- * HB with the analysis phase, fed one 4096-event window again and
- * again through AnalysisDriver::feedWindow: 8 threads, 1024
- * reserved variables that the warm-up windows have already
+ * An engine with the analysis phase, fed one 4096-event window
+ * again and again through AnalysisDriver::feedWindow: 8 threads,
+ * 1024 reserved variables that the warm-up windows have already
  * touched, 70% reads — many concurrent, so histories promote to
- * shared read vectors and later writes hand them back — and 1%
- * lock pairs. heap_allocs is per window: steady-state engine work
- * must not allocate.
+ * shared read vectors and later writes hand them back (and MAZ's
+ * read clocks all exist) — and 1% lock pairs. heap_allocs is per
+ * window: steady-state engine work must not allocate.
  */
-template <typename ClockT>
+template <template <typename> class Engine, typename ClockT>
 void
-BM_HbFeedWindow(benchmark::State &state)
+feedWindowLoop(benchmark::State &state)
 {
     constexpr Tid kThreads = 8;
     constexpr LockId kLocks = 4;
@@ -271,7 +273,7 @@ BM_HbFeedWindow(benchmark::State &state)
     }
     const EventWindow window{events.data(), events.size()};
 
-    HbEngine<ClockT> engine;
+    Engine<ClockT> engine;
     engine.begin({kThreads, kLocks, kVars, kUnknownEventCount, false});
     for (int warm = 0; warm < 3; warm++)
         engine.feedWindow(window);
@@ -285,6 +287,30 @@ BM_HbFeedWindow(benchmark::State &state)
         benchmark::Counter::kAvgIterations);
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(window.size));
+}
+
+template <typename ClockT>
+void
+BM_HbFeedWindow(benchmark::State &state)
+{
+    feedWindowLoop<HbEngine, ClockT>(state);
+}
+
+/** The same window under SHB: per-variable clocks LW_x are read
+ * and stale-copied on every access. */
+template <typename ClockT>
+void
+BM_ShbFeedWindow(benchmark::State &state)
+{
+    feedWindowLoop<ShbEngine, ClockT>(state);
+}
+
+/** The same window under MAZ: LW_x and R_{t,x} per access. */
+template <typename ClockT>
+void
+BM_MazFeedWindow(benchmark::State &state)
+{
+    feedWindowLoop<MazEngine, ClockT>(state);
 }
 
 #define TC_BENCH_RANGE RangeMultiplier(4)->Range(8, 2048)
@@ -307,6 +333,10 @@ BENCHMARK_TEMPLATE(BM_FirstCopy, VectorClock)->TC_BENCH_RANGE;
 BENCHMARK_TEMPLATE(BM_FirstCopy, TreeClock)->TC_BENCH_RANGE;
 BENCHMARK_TEMPLATE(BM_HbFeedWindow, VectorClock);
 BENCHMARK_TEMPLATE(BM_HbFeedWindow, TreeClock);
+BENCHMARK_TEMPLATE(BM_ShbFeedWindow, VectorClock);
+BENCHMARK_TEMPLATE(BM_ShbFeedWindow, TreeClock);
+BENCHMARK_TEMPLATE(BM_MazFeedWindow, VectorClock);
+BENCHMARK_TEMPLATE(BM_MazFeedWindow, TreeClock);
 
 /** Mirrors every finished run into the shared JsonReporter while
  * keeping the familiar console table. */

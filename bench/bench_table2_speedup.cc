@@ -8,6 +8,12 @@
  * (HB); PO+Analysis 1.49, 1.80, 1.11. Expected shape: TC wins on
  * average everywhere; the HB speedup is damped most by the analysis
  * because only ~9.5% of corpus events are synchronization events.
+ *
+ * --json writes one entry per partial order and mode
+ * ("po_only/SHB", "po_analysis/MAZ", ...) with the mean and geomean
+ * TC-over-VC ratio; ci/check_table2_speedup.py gates the PO-only
+ * geomeans of SHB and MAZ on it. Both clocks are timed in the same
+ * run, so the ratio needs no cross-machine baseline.
  */
 
 #include <iostream>
@@ -24,6 +30,7 @@ main(int argc, char **argv)
     ArgParser args("Table 2: average TC-over-VC speedup per partial "
                    "order");
     addCommonFlags(args);
+    addJsonFlag(args);
     if (!args.parse(argc, argv))
         return 1;
     const double scale = args.getDouble("scale");
@@ -77,5 +84,22 @@ main(int argc, char **argv)
                 geomean(speedups[static_cast<int>(Po::MAZ)][0]),
                 geomean(speedups[static_cast<int>(Po::SHB)][0]),
                 geomean(speedups[static_cast<int>(Po::HB)][0]));
-    return 0;
+
+    JsonReporter report;
+    report.context("harness", "bench_table2_speedup");
+    report.context("scale", strFormat("%g", scale));
+    report.context("reps", strFormat("%d", reps));
+    for (const int mode : {0, 1}) {
+        for (const Po po : allPos()) {
+            const auto &ratios = speedups[static_cast<int>(po)][mode];
+            report.entry(strFormat("%s/%s",
+                                   mode == 0 ? "po_only"
+                                             : "po_analysis",
+                                   poName(po)));
+            report.metric("traces", static_cast<double>(ratios.size()));
+            report.metric("mean_tc_over_vc", mean(ratios));
+            report.metric("geomean_tc_over_vc", geomean(ratios));
+        }
+    }
+    return maybeWriteJson(args, report) ? 0 : 1;
 }

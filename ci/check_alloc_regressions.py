@@ -13,9 +13,10 @@ exceed the baseline's. The steady-state join/copy benchmarks
 BM_StaleMonotoneCopy) are
 additionally required to stay at exactly 0 allocations — a warmed
 clock hot path must never touch the heap, whatever the baseline
-says. So is BM_HbFeedWindow, the same gate at the engine layer (HB
+says. So are BM_HbFeedWindow, BM_ShbFeedWindow and
+BM_MazFeedWindow, the same gate at the engine layer (HB, SHB or MAZ
 fed one window of events at a time over already-sized state);
-both of its clock instantiations must be in the report.
+both clock instantiations of each must be in the report.
 BM_FirstCopy (heap_allocs per copy into a fresh clock) is held to
 a same-run comparison: at every width, the tree clock may not
 allocate more per first copy than the vector clock.
@@ -30,15 +31,18 @@ import sys
 FIRST_COPY = "BM_FirstCopy"
 TREE, FLAT = "<TreeClock>", "<VectorClock>"
 
-ENGINE_WINDOW = "BM_HbFeedWindow"
+ENGINE_WINDOWS = (
+    "BM_HbFeedWindow",
+    "BM_ShbFeedWindow",
+    "BM_MazFeedWindow",
+)
 
 STEADY_STATE_PREFIXES = (
     "BM_JoinVacuous",
     "BM_SyncRoundTrip",
     "BM_MonotoneCopy",
     "BM_StaleMonotoneCopy",
-    ENGINE_WINDOW,
-)
+) + ENGINE_WINDOWS
 
 
 def entries(report: dict) -> dict:
@@ -81,10 +85,12 @@ def main() -> int:
                 f"{name}: heap_allocs {allocs:.0f} > baseline "
                 f"{base:.0f}")
 
-    for clock in (FLAT, TREE):
-        if ENGINE_WINDOW + clock not in current:
-            failures.append(f"{ENGINE_WINDOW}{clock}: missing from the "
-                            f"report (the engine-layer gate did not run)")
+    for window in ENGINE_WINDOWS:
+        for clock in (FLAT, TREE):
+            if window + clock not in current:
+                failures.append(f"{window}{clock}: missing from the "
+                                f"report (the engine-layer gate did "
+                                f"not run)")
 
     for name, allocs in sorted(current.items()):
         if not name.startswith(FIRST_COPY + TREE):

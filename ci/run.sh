@@ -7,7 +7,9 @@
 #   Job 2 — ASan + UBSan: the full test suite under both sanitizers
 #           (catches scratch-arena lifetime bugs, OOB link-array
 #           indexing, signed-overflow in the traversals, and leaks
-#           on the pipeline fault paths).
+#           on the pipeline fault paths), with TC_ASSERT on, so
+#           internal preconditions such as monotoneCopy's
+#           this ⊑ other are checked on every run.
 #   Job 3 — TSan: the `threaded` ctest label — every suite that
 #           spawns threads (prefetch reader, window-bus ring,
 #           pipeline worker pool, parallel capture writers,
@@ -33,9 +35,11 @@
 #           and the flags the docs spell exist in the CLIs (and
 #           every user-facing flag is documented). Runs first: it
 #           needs no build and catches drift in seconds.
-#   Job 5 — bench smoke: allocation regressions (exact) and
+#   Job 5 — bench smoke: allocation regressions (exact),
 #           streaming/fan-out throughput regressions (25%
 #           tolerance) against the committed BENCH_baseline.json,
+#           the same-run Table 2 gate (PO-only TC/VC ≥ 1 on SHB
+#           and MAZ),
 #           plus the checkpoint-overhead gate: snapshots every 1M
 #           events may cost at most 5% of streaming throughput
 #           (same-binary on/off comparison, so it runs tight even
@@ -73,7 +77,7 @@ echo "=== memory-capped (ulimit -v 4000000, Release) ==="
 )
 run_job "ASan/UBSan" build-ci-asan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTC_WERROR=ON \
-    -DTC_SANITIZE=ON
+    -DTC_SANITIZE=ON -DCMAKE_CXX_FLAGS=-DTC_ENABLE_ASSERTS
 
 echo "=== TSan (threaded label) ==="
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -121,7 +125,7 @@ echo "=== bench smoke (alloc + throughput regressions) ==="
     --reps=2 --json=/tmp/tc-bench-streaming.json > /dev/null
 if [[ -x build-ci-werror/bench_micro_clock ]]; then
     ./build-ci-werror/bench_micro_clock \
-        --benchmark_filter='BM_JoinVacuous|BM_SyncRoundTrip|BM_MonotoneCopy|BM_StaleMonotoneCopy|BM_FirstCopy|BM_HbFeedWindow' \
+        --benchmark_filter='BM_JoinVacuous|BM_SyncRoundTrip|BM_MonotoneCopy|BM_StaleMonotoneCopy|BM_FirstCopy|BM_HbFeedWindow|BM_ShbFeedWindow|BM_MazFeedWindow' \
         --json /tmp/tc-bench-micro.json > /dev/null
     python3 ci/merge_bench_json.py /tmp/tc-bench-ci.json \
         bench_micro_clock=/tmp/tc-bench-micro.json \
@@ -139,6 +143,15 @@ fi
 python3 ci/check_throughput_regressions.py BENCH_baseline.json \
     /tmp/tc-bench-ci.json \
     --tolerance="${TC_THROUGHPUT_TOLERANCE:-0.25}"
+
+# Same-run TC/VC gate (paper Table 2, PO-only): over the corpus
+# traces, the geomean VC/TC time ratio of SHB and of MAZ must be at
+# least 1. Both clocks run in one process on the same traces, so it
+# needs no baseline; HB is printed but not gated.
+echo "=== table 2 gate (PO-only TC/VC >= 1 on SHB and MAZ) ==="
+./build-ci-werror/bench_table2_speedup --reps=1 \
+    --json=/tmp/tc-bench-table2.json > /dev/null
+python3 ci/check_table2_speedup.py /tmp/tc-bench-table2.json
 
 # Lifecycle footprint gate: on the pool workload (bounded live set,
 # many created-and-retired logical threads) the tree clock's peak

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/clock_traits.hh"
+#include "core/flat_tree_clock.hh"
 #include "core/scratch_arena.hh"
 #include "core/tree_clock.hh"
 #include "analysis/race.hh"
@@ -105,6 +106,23 @@ struct EngineResult
     WorkCounters work;
 };
 
+/**
+ * The clock type of per-variable clocks (SHB/MAZ LW_x, R_{t,x}) in
+ * an analysis whose thread clocks are ClockT: ClockT itself, except
+ * that tree-clock analyses keep them flat (flat_tree_clock.hh), as
+ * those clocks are almost only copy targets.
+ */
+template <typename ClockT>
+struct VarClockFor
+{
+    using type = ClockT;
+};
+template <>
+struct VarClockFor<TreeClock>
+{
+    using type = FlatTreeClock;
+};
+
 namespace detail {
 
 /**
@@ -113,13 +131,13 @@ namespace detail {
  * arena (when given) must outlive the clock — engines keep it next
  * to their clock storage.
  */
-template <ClockLike ClockT>
+template <typename ClockT>
 void
 configureClock(ClockT &clock, const EngineConfig &cfg,
                ScratchArena *arena = nullptr)
 {
     clock.setCounters(cfg.counters);
-    if constexpr (std::same_as<ClockT, TreeClock>)
+    if constexpr (requires { clock.setPolicy(cfg.policy); })
         clock.setPolicy(cfg.policy);
     if constexpr (requires { clock.setArena(arena); })
         clock.setArena(arena);
@@ -135,14 +153,14 @@ configureClock(ClockT &clock, const EngineConfig &cfg,
  * parity and the Theorem 1 dsWork bound are unchanged — the
  * shortcut removes call and dispatch overhead, not accounted work.
  */
-template <ClockLike ClockT>
+template <ClockLike ClockT, typename SrcT>
 inline void
-joinClock(ClockT &dst, const ClockT &src, const EngineConfig &cfg)
+joinClock(ClockT &dst, const SrcT &src, const EngineConfig &cfg)
 {
     if (joinIsVacuous(dst, src)) {
         if (cfg.counters) {
             cfg.counters->joins++;
-            if constexpr (RootedClock<ClockT>)
+            if constexpr (RootedClock<SrcT>)
                 cfg.counters->dsWork += src.empty() ? 0 : 1;
         }
         return;
@@ -150,8 +168,9 @@ joinClock(ClockT &dst, const ClockT &src, const EngineConfig &cfg)
     dst.join(src);
 }
 
-/** Tree-clock structural invariant check (tests only). */
-template <ClockLike ClockT>
+/** Tree-clock structural invariant check (tests only); a flat
+ * clock's star is valid by construction. */
+template <typename ClockT>
 void
 deepCheck(const ClockT &clock)
 {

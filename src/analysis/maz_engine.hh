@@ -24,6 +24,9 @@
  * and never freed, so pooling removes the unique_ptr indirection
  * and the allocator round trip per slot while packing the clocks
  * densely in creation order.
+ *
+ * LW_x and R_{t,x} are per-variable clocks (VarClockFor): a
+ * tree-clock analysis keeps them as FlatTreeClocks, k words each.
  */
 
 #ifndef TC_ANALYSIS_MAZ_ENGINE_HH
@@ -41,6 +44,8 @@ namespace tc {
 template <typename ClockT>
 class MazPolicy
 {
+    using VarClock = typename VarClockFor<ClockT>::type;
+
   public:
     void
     configure(const EngineConfig *cfg, ScratchArena *arena)
@@ -90,7 +95,7 @@ class MazPolicy
                          v.lastWriteEpoch, Epoch(e.tid, c));
         }
         detail::joinClock(ct, v.lastWriteClock, *cfg_);
-        ClockT &r = readClock(v, e.tid);
+        VarClock &r = readClock(v, e.tid);
         r.monotoneCopy(ct);
         if (std::find(v.lrds.begin(), v.lrds.end(), e.tid) ==
             v.lrds.end()) {
@@ -115,7 +120,7 @@ class MazPolicy
                              v.lastWriteEpoch, cur);
             }
             for (Tid reader : v.lrds) {
-                const ClockT &rc = readClockOf(v, reader);
+                const VarClock &rc = readClockOf(v, reader);
                 const Epoch re(reader, rc.get(reader));
                 if (!re.coveredBy(ct)) {
                     races.record(e.var(), RaceKind::ReadWrite, re,
@@ -142,7 +147,7 @@ class MazPolicy
     saveState(ByteSink &out) const
     {
         out.putU64(pool_.size());
-        for (const ClockT &clock : pool_)
+        for (const VarClock &clock : pool_)
             clock.serialize(out);
         out.putU64(vars_.size());
         for (const VarState &v : vars_) {
@@ -198,7 +203,7 @@ class MazPolicy
   private:
     struct VarState
     {
-        ClockT lastWriteClock; ///< LW_x
+        VarClock lastWriteClock; ///< LW_x
         Epoch lastWriteEpoch;
         /** tid → 1-based slot in pool_ (0 = no clock yet). */
         std::vector<std::uint32_t> readSlots;
@@ -208,7 +213,7 @@ class MazPolicy
     };
 
     /** R_{t,x}, pool-allocated on a thread's first read of x. */
-    ClockT &
+    VarClock &
     readClock(VarState &v, Tid t)
     {
         const auto idx = static_cast<std::size_t>(t);
@@ -224,7 +229,7 @@ class MazPolicy
     }
 
     /** The existing R_{t,x} of a thread in LRDs_x. */
-    ClockT &
+    VarClock &
     readClockOf(VarState &v, Tid t)
     {
         return pool_[v.readSlots[static_cast<std::size_t>(t)] - 1];
@@ -235,7 +240,7 @@ class MazPolicy
     std::vector<VarState> vars_;
     /** Pooled R_{t,x} store: deque growth never moves elements, so
      * references handed out by readClock stay valid for the run. */
-    std::deque<ClockT> pool_;
+    std::deque<VarClock> pool_;
 };
 
 /** Algorithm 5: the driver instantiated with the MAZ rules. */

@@ -15,6 +15,9 @@
  * races the last write when the write's epoch is not covered before
  * the lw-join; a write races the last write / the per-thread last
  * reads when their epochs are not covered.
+ *
+ * LW_x is a per-variable clock (VarClockFor): a tree-clock analysis
+ * keeps it as a FlatTreeClock, root and timestamps with no shape.
  */
 
 #ifndef TC_ANALYSIS_SHB_ENGINE_HH
@@ -149,7 +152,8 @@ class ShbPolicy
   private:
     struct VarState
     {
-        ClockT lastWriteClock; ///< LW_x of Algorithm 4
+        typename VarClockFor<ClockT>::type
+            lastWriteClock; ///< LW_x of Algorithm 4
         AccessHistory history; ///< epochs for the race checks
     };
 

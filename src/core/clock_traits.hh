@@ -53,10 +53,11 @@ concept ClockLike =
  * Clocks that expose a dominating root entry: rootTid() names a
  * thread whose entry bounds the whole structure whenever the clocks
  * evolved inside one analysis (direct monotonicity, paper Lemma 3).
- * TreeClock models this; a flat vector clock has no such summary.
+ * TreeClock and the per-variable FlatTreeClock model this; a vector
+ * clock has no such summary.
  */
 template <typename C>
-concept RootedClock = ClockLike<C> && requires(const C cc) {
+concept RootedClock = requires(const C cc) {
     { cc.rootTid() } -> std::same_as<Tid>;
     { cc.empty() } -> std::same_as<bool>;
 };
@@ -66,16 +67,17 @@ concept RootedClock = ClockLike<C> && requires(const C cc) {
  * the operand is empty, or its root entry is already covered
  * (Algorithm 2, line 18 — src.localClk() <= dst.get(src.rootTid())).
  * Engines use it to skip the join call entirely on the (dominant)
- * already-covered case. Returns false whenever the clock cannot
- * answer in O(1) — flat clocks always take the real join, so both
- * backends keep identical semantics and the flat backend keeps its
- * measured Θ(k) cost.
+ * already-covered case. The operand may be of another type than the
+ * target (a thread clock joins FlatTreeClocks). Returns false
+ * whenever the operand cannot answer in O(1) — vector clocks always
+ * take the real join, so both backends keep identical semantics and
+ * the vector-clock backend keeps its measured Θ(k) cost.
  */
-template <ClockLike C>
+template <ClockLike C, typename S = C>
 inline bool
-joinIsVacuous(const C &dst, const C &src)
+joinIsVacuous(const C &dst, const S &src)
 {
-    if constexpr (RootedClock<C>) {
+    if constexpr (RootedClock<S>) {
         // rootTid() names an *internal* slot, so the probe must use
         // the raw accessor on clocks that translate external ids
         // (TreeClock with an active ThreadIdMap); for everything

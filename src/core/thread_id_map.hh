@@ -127,6 +127,25 @@ class ThreadIdMap
     }
 
     /**
+     * get(@p ext) of a clock whose slot times are @p raw[0, k): the
+     * occupant's share of its slot time, clamp(raw − bias, 0, cap),
+     * or 0 when @p ext has no record. Only meaningful while active.
+     */
+    Clk
+    read(Tid ext, const Clk *raw, std::size_t k) const
+    {
+        const Record r = lookup(ext);
+        if (r.slot == kNoTid)
+            return 0;
+        const auto s = static_cast<std::size_t>(r.slot);
+        const Clk v = s < k ? raw[s] : 0;
+        if (v <= r.bias)
+            return 0;
+        const Clk e = v - r.bias;
+        return e > r.cap ? r.cap : e;
+    }
+
+    /**
      * Slot of @p ext, assigning a fresh one to a never-seen id
      * (threads that appear without a lifecycle create get a
      * zero-bias slot of their own, exactly like identity mode).

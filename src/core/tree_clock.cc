@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/flat_tree_clock.hh"
 #include "support/assert.hh"
 #include "support/strings.hh"
 
@@ -107,7 +108,8 @@ TreeClock::detachFromParent(Tid t)
 }
 
 bool
-TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
+TreeClock::gatherUpdated(const TreeClock &other, const Clk *mine,
+                         JoinPolicy policy, std::vector<Tid> &S,
                          bool is_copy, Tid z_tid,
                          std::uint64_t &examined, std::size_t limit)
 {
@@ -117,26 +119,21 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
     // stack. S is filled in pre-order; attachNodes pops it from the
     // back, which attaches later siblings first so the front-insert
     // of pushChild restores the operand's (descending-aclk) child
-    // order. The walk only pushes: it reads our flat clk segment and
-    // never our links, so the nodes of S are unlinked from our tree
-    // after the walk, in walk order — the same edits, in the same
-    // order, as unlinking each node when it enters S. A walk that
-    // stops at @p limit unlinks nothing: the block copy that follows
-    // overwrites every link anyway.
+    // order. The walk only pushes: it reads our clk segment and never
+    // our links, so a tree target unlinks the nodes of S after the
+    // walk (detachGathered) and a flat target has none to unlink.
     //
     // The scan reads exactly five operand segments — clk (progress
     // test), aclk (indirect cut), nextSib/firstChild/parent
     // (navigation) — each a dense 4-byte stream.
-    const bool use_direct = policy_ != JoinPolicy::NoPruning;
-    const bool use_indirect = policy_ == JoinPolicy::Full;
+    const bool use_direct = policy != JoinPolicy::NoPruning;
+    const bool use_indirect = policy == JoinPolicy::Full;
 
     const Clk *oclk = other.seg(kClk);
     const Clk *oaclk = other.seg(kAclk);
     const Tid *oparent = other.links(kParent);
     const Tid *ofirst = other.links(kFirstChild);
     const Tid *onext = other.links(kNextSib);
-    const Clk *mine = seg(kClk);
-    const Tid *mparent = links(kParent);
 
     const Tid root = other.root_;
     S.push_back(root);
@@ -194,12 +191,31 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
         cur = onext[c];
     }
     examined += scans;
+    return false;
+}
+
+void
+TreeClock::detachGathered(const std::vector<Tid> &S)
+{
+    const Tid *mparent = links(kParent);
     for (const Tid t : S) {
         if (t != root_ &&
             mparent[static_cast<std::size_t>(t)] != kAbsent)
             detachFromParent(t);
     }
-    return false;
+}
+
+bool
+TreeClock::onlyRootAhead(const TreeClock &other, const Clk *mine,
+                         Tid &first)
+{
+    const auto r = static_cast<std::size_t>(other.root_);
+    first = other.links(kFirstChild)[r];
+    if (first == kNoTid)
+        return true;
+    const auto c = static_cast<std::size_t>(first);
+    return mine[c] >= other.seg(kClk)[c] &&
+           other.seg(kAclk)[c] <= mine[r];
 }
 
 std::uint64_t
@@ -299,7 +315,9 @@ TreeClock::join(const TreeClock &other)
     S.clear();
 
     std::uint64_t examined = 0;
-    gatherUpdated(other, S, false, kNoTid, examined, kNoLimit);
+    gatherUpdated(other, seg(kClk), policy_, S, false, kNoTid,
+                  examined, kNoLimit);
+    detachGathered(S);
     const std::uint64_t transplanted = S.size();
     const std::uint64_t changed = attachNodes(other, S);
 
@@ -313,6 +331,68 @@ TreeClock::join(const TreeClock &other)
         counters_->joins++;
         counters_->vtWork += changed;
         counters_->dsWork += 1 + examined + transplanted;
+    }
+}
+
+void
+TreeClock::join(const FlatTreeClock &other)
+{
+    const Tid r = other.root_;
+    if (r == kNoTid) {
+        if (counters_)
+            counters_->joins++;
+        return;
+    }
+    TC_CHECK(root_ != kNoTid,
+             "join() requires an initialized thread clock");
+    const auto ri = static_cast<std::size_t>(r);
+    const Clk *oclk = other.clk_.data();
+    const Clk r_clk = oclk[ri];
+    if (rawGet(r) >= r_clk) {
+        // Root already covered: so is the whole star.
+        if (counters_) {
+            counters_->joins++;
+            counters_->dsWork++;
+        }
+        return;
+    }
+    TC_CHECK(other.rawGet(root_) <= localClk(),
+             "join operand claims to know this thread's future");
+    ensure(other.size());
+
+    // r progressed, so no leaf of the star is cut (its aclk, r's
+    // time, exceeds what we knew of r): every entry is examined, and
+    // each progressed thread is unlinked and hung under r, stamped
+    // with r's time. Walking tids downward and front-inserting
+    // leaves r's new children in ascending order, the star's own;
+    // then r is hung under our root (Algorithm 2, lines 24-27). Our
+    // root is never progressed (the check above), so it is never
+    // unlinked.
+    const std::size_t n = other.size();
+    Clk *mclk = seg(kClk);
+    Clk *maclk = seg(kAclk);
+    const Tid *mparent = links(kParent);
+    if (mparent[ri] != kAbsent)
+        detachFromParent(r);
+    std::uint64_t changed = 1;
+    for (std::size_t i = n; i-- > 0;) {
+        if (mclk[i] >= oclk[i] || i == ri)
+            continue;
+        const auto t = static_cast<Tid>(i);
+        if (mparent[i] != kAbsent)
+            detachFromParent(t);
+        mclk[i] = oclk[i];
+        maclk[i] = r_clk;
+        pushChild(t, r);
+        changed++;
+    }
+    mclk[ri] = r_clk;
+    maclk[ri] = mclk[static_cast<std::size_t>(root_)];
+    pushChild(r, root_);
+    if (counters_) {
+        counters_->joins++;
+        counters_->vtWork += changed;
+        counters_->dsWork += 1 + n;
     }
 }
 
@@ -338,37 +418,31 @@ TreeClock::monotoneCopy(const TreeClock &other)
     // (the common shape for last-write and read clocks refreshed by
     // the same thread). By indirect monotonicity the first child's
     // coverage extends to all siblings, so the copy is one store.
-    if (policy_ == JoinPolicy::Full && other.root_ == root_) {
+    Tid c = kNoTid;
+    if (policy_ == JoinPolicy::Full && other.root_ == root_ &&
+        onlyRootAhead(other, seg(kClk), c)) {
         const auto i = static_cast<std::size_t>(root_);
-        const Tid c = other.links(kFirstChild)[i];
-        if (c == kNoTid ||
-            (rawGet(c) >= other.seg(kClk)[static_cast<std::size_t>(c)] &&
-             other.seg(kAclk)[static_cast<std::size_t>(c)] <= seg(kClk)[i])) {
-            const std::uint64_t changed = seg(kClk)[i] != other.seg(kClk)[i];
-            seg(kClk)[i] = other.seg(kClk)[i];
-            if (counters_) {
-                // Same accounting as the generic path: children
-                // examined (0 or 1) + the root transplant.
-                counters_->copies++;
-                counters_->vtWork += changed;
-                counters_->dsWork += 1 + (c != kNoTid);
-            }
-            return;
+        const std::uint64_t changed = seg(kClk)[i] != other.seg(kClk)[i];
+        seg(kClk)[i] = other.seg(kClk)[i];
+        if (counters_) {
+            // Same accounting as the generic path: children examined
+            // (0 or 1) + the root transplant.
+            counters_->copies++;
+            counters_->vtWork += changed;
+            counters_->dsWork += 1 + (c != kNoTid);
         }
+        return;
     }
 
     std::vector<Tid> &S = scratch();
     S.clear();
 
-    // Bounded walk (see the file comment); the ablation policies
-    // keep the pure Algorithm 2 walk.
-    const std::size_t limit =
-        policy_ == JoinPolicy::Full ? (other.size() + 7) / 8
-                                    : kNoLimit;
+    // Bounded walk (see the file comment).
     std::uint64_t examined = 0;
     const bool limited =
-        gatherUpdated(other, S, true, root_, examined, limit);
-    // A walk that hit the limit unlinked nothing, and the block copy
+        gatherUpdated(other, seg(kClk), policy_, S, true, root_,
+                      examined, copyLimit(policy_, other.size()));
+    // A walk that hit the limit needs no unlinking: the block copy
     // overwrites the whole tree. A walk that never met our old root
     // cannot reposition it without breaking reachability; that
     // cannot happen under the HB/SHB/MAZ usage discipline (Lemma 5),
@@ -386,6 +460,7 @@ TreeClock::monotoneCopy(const TreeClock &other)
         return;
     }
 
+    detachGathered(S);
     const std::uint64_t transplanted = S.size();
     const std::uint64_t changed = attachNodes(other, S);
 
@@ -416,24 +491,30 @@ TreeClock::copyCheckMonotone(const TreeClock &other)
     return false;
 }
 
+std::uint64_t
+TreeClock::entriesChanged(const Clk *mine, std::size_t k,
+                          const Clk *theirs, std::size_t n)
+{
+    // Slots both sides address, then theirs past our width and ours
+    // past theirs.
+    const std::size_t common = std::min(n, k);
+    std::uint64_t changed = 0;
+    for (std::size_t i = 0; i < common; i++)
+        changed += mine[i] != theirs[i];
+    for (std::size_t i = common; i < n; i++)
+        changed += theirs[i] != 0;
+    for (std::size_t i = common; i < k; i++)
+        changed += mine[i] != 0;
+    return changed;
+}
+
 void
 TreeClock::deepCopy(const TreeClock &other)
 {
-    // Entries whose value changes: slots both clocks address, then
-    // the operand's slots past our width and ours past its width
-    // (either side reads 0 beyond its width).
     const std::size_t n = other.size();
     const std::size_t k = size();
-    const std::size_t common = std::min(n, k);
-    const Clk *oclk = other.seg(kClk);
-    const Clk *mine = seg(kClk);
-    std::uint64_t changed = 0;
-    for (std::size_t i = 0; i < common; i++)
-        changed += mine[i] != oclk[i];
-    for (std::size_t i = common; i < n; i++)
-        changed += oclk[i] != 0;
-    for (std::size_t i = common; i < k; i++)
-        changed += mine[i] != 0;
+    const std::uint64_t changed =
+        entriesChanged(seg(kClk), k, other.seg(kClk), n);
     if (k <= n) {
         // Equal widths (the steady state) copy the whole block in
         // one memmove; a narrower target takes the operand's width

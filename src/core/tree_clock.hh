@@ -21,14 +21,15 @@
  * that actually change (Theorem 1: total accessed entries over a run
  * are at most 3·VTWork).
  *
- * MonotoneCopy bounds its walk. A stale copy target (SHB's lock and
- * last-write clocks) can need nearly the whole tree relinked, one
- * node at a time, each node a handful of random accesses over the
- * link arrays. So once ⌈k/8⌉ progressed nodes have been found, the
- * walk stops and the copy finishes as one flat block copy of all k
- * entries. At that point at least ⌈k/8⌉ entries are known to change,
- * so the k touches cost at most 8x that copy's VTWork and the work
- * stays O(VTWork). The ablation policies never take the block copy.
+ * MonotoneCopy bounds its walk. A stale copy target (a lock clock,
+ * or a per-variable clock below) can need nearly the whole operand
+ * walked, one node at a time, each node a handful of random
+ * accesses over the link arrays. So once ⌈k/8⌉ progressed nodes
+ * have been found, the walk stops and the copy finishes as one flat
+ * block copy of all k entries. At that point at least ⌈k/8⌉ entries
+ * are known to change, so the k touches cost at most 8x that copy's
+ * VTWork and the work stays O(VTWork). The ablation policies never
+ * take the block copy.
  *
  * Implementation follows the paper's §6 notes: "the tree clock data
  * structure is represented as two arrays of length k, the first one
@@ -52,6 +53,17 @@
  * share one L1 set, and BM_SyncRoundTrip/1024 ran twice as slow.
  * The width is stored, not derived from the block size: a division
  * on each segment access cost a fifth of that round trip.
+ *
+ * Two kinds of clock. Thread and lock clocks are TreeClocks: join
+ * targets, whose shape is what makes a join sublinear. The
+ * per-variable clocks of SHB and MAZ (LW_x, R_{t,x}) are
+ * FlatTreeClocks (flat_tree_clock.hh): root plus the clk segment, k
+ * words like a vector clock. Those clocks are almost only copy
+ * targets, and a stale copy into a full tree rewrites all six
+ * segments while the shape it stores is nearly never read — a join
+ * from them almost always stops at the O(1) root test. A flat clock
+ * stands for a star (every known thread a leaf under the root), so
+ * join(const FlatTreeClock &) is Algorithm 2's join over that star.
  *
  * Scratch ownership. The traversal stack lives in a ScratchArena
  * (scratch_arena.hh): engines attach one shared arena to all their
@@ -78,6 +90,8 @@
 #include "support/types.hh"
 
 namespace tc {
+
+class FlatTreeClock;
 
 /**
  * Tree clock. See the file comment for the data structure overview.
@@ -160,17 +174,10 @@ class TreeClock
     Clk
     get(Tid t) const
     {
-        if (idMap_ && idMap_->active()) {
-            const ThreadIdMap::Record r = idMap_->lookup(t);
-            if (r.slot == kNoTid)
-                return 0;
-            const Clk raw = rawGet(r.slot);
-            if (raw <= r.bias)
-                return 0;
-            const Clk ext = raw - r.bias;
-            return ext > r.cap ? r.cap : ext;
-        }
-        return rawGet(t);
+        // clk is segment 0.
+        return idMap_ && idMap_->active()
+                   ? idMap_->read(t, block_.data(), width_.k)
+                   : rawGet(t);
     }
 
     /**
@@ -220,6 +227,15 @@ class TreeClock
 
     /** Join of Algorithm 2: this ← this ⊔ other, sublinear. */
     void join(const TreeClock &other);
+
+    /**
+     * Join from a per-variable clock: Algorithm 2's join over the
+     * star it stands for (flat_tree_clock.hh). Past the O(1) root
+     * test no child of the star is ever cut, so the join scans the
+     * operand's k entries and hangs each progressed thread under its
+     * root (dsWork 1 + k).
+     */
+    void join(const FlatTreeClock &other);
 
     /**
      * join() with pruning disabled for this one call — a full
@@ -338,6 +354,9 @@ class TreeClock
     static constexpr const char *kName = "TC";
 
   private:
+    /** Copies into a FlatTreeClock share the bounded walk. */
+    friend class FlatTreeClock;
+
     /** Sentinel parent for threads that were never in the tree. */
     static constexpr Tid kAbsent = -2;
 
@@ -357,19 +376,49 @@ class TreeClock
 
     /** gatherUpdated limit that never stops the walk. */
     static constexpr std::size_t kNoLimit = SIZE_MAX;
+    /** The monotone-copy walk's limit for an operand of width @p k
+     * (see the file comment); the ablation policies never stop. */
+    static std::size_t
+    copyLimit(JoinPolicy policy, std::size_t k)
+    {
+        return policy == JoinPolicy::Full ? (k + 7) / 8 : kNoLimit;
+    }
 
     /**
      * getUpdatedNodesJoin / getUpdatedNodesCopy: collect into @p S
-     * (pre-order) the operand's nodes to transplant, and unlink them
-     * from this tree once the walk completes. @p z_tid is the old
-     * root for copies (kNoTid for joins). Returns true when the walk
-     * stopped early because @p limit progressed non-root nodes had
-     * entered S; nothing is unlinked then, as the caller overwrites
-     * the whole tree with a block copy.
+     * (pre-order) the nodes of @p other to transplant into a clock
+     * whose clk segment is @p mine (at least other's width). The
+     * walk reads no links of the target, so it serves flat targets
+     * too; a tree target unlinks S afterwards (detachGathered).
+     * @p z_tid is the old root for copies into a tree (kNoTid
+     * otherwise). Returns true when the walk stopped early because
+     * @p limit progressed non-root nodes had entered S.
      */
-    bool gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
-                       bool is_copy, Tid z_tid,
-                       std::uint64_t &examined, std::size_t limit);
+    static bool gatherUpdated(const TreeClock &other, const Clk *mine,
+                              JoinPolicy policy, std::vector<Tid> &S,
+                              bool is_copy, Tid z_tid,
+                              std::uint64_t &examined,
+                              std::size_t limit);
+    /** Unlink the nodes of S from this tree, in walk order — the
+     * same edits as unlinking each node when it enters S. A walk
+     * stopped at its limit skips this: the block copy that follows
+     * overwrites every link. */
+    void detachGathered(const std::vector<Tid> &S);
+    /**
+     * The monotone copy's fast path test, for a target whose root is
+     * @p other's root and whose clk segment is @p mine: only that
+     * root can have progressed. Its first child (returned in
+     * @p first, kNoTid when none) is covered and was attached no
+     * later than our time of the root, so by indirect monotonicity
+     * every sibling is covered too.
+     */
+    static bool onlyRootAhead(const TreeClock &other, const Clk *mine,
+                              Tid &first);
+    /** Entries that differ between times @p mine[0, k) and
+     * @p theirs[0, n) (either side reads 0 past its width). */
+    static std::uint64_t entriesChanged(const Clk *mine, std::size_t k,
+                                        const Clk *theirs,
+                                        std::size_t n);
     /** Transplant S (popped in reverse) mirroring other's shape;
      * returns the number of clk entries whose value changed. */
     std::uint64_t attachNodes(const TreeClock &other,

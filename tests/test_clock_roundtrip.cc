@@ -80,9 +80,15 @@ randomWalk(WalkState<ClockT> &state, Rng &rng, int steps)
             break;
           case 1:
             // Fork/join edge: b's knowledge of a is a's past, so
-            // the join precondition holds inductively.
-            if (a != b)
+            // the join precondition holds inductively. a takes a
+            // fresh local time first, as the engines do before
+            // every event: a clock's root time must name one
+            // vector time, or the O(1) root tests (and the
+            // monotoneCopy precondition this ⊑ other) break.
+            if (a != b) {
+                state.threads[a].increment(1);
                 state.threads[a].join(state.threads[b]);
+            }
             break;
           default: {
             // Critical section on a random lock: acquire (join
